@@ -75,14 +75,8 @@ impl AdaptiveRow {
     }
 
     /// II cycles the adaptive arm won back from the static gap.
-    pub fn ii_recovered(&self) -> u32 {
+    fn ii_recovered(&self) -> u32 {
         self.hlo_ii.saturating_sub(self.adaptive_ii)
-    }
-
-    /// Stall cycles the adaptive arm saved versus the static HloHints
-    /// arm (negative when it spent more).
-    pub fn stalls_recovered(&self) -> i64 {
-        self.hlo_stalls as i64 - self.adaptive_stalls as i64
     }
 }
 
@@ -96,7 +90,7 @@ pub struct AdaptiveGapResult {
 
 impl AdaptiveGapResult {
     /// Rows where the static policy sits above the proven minimum.
-    pub fn gap_rows(&self) -> usize {
+    fn gap_rows(&self) -> usize {
         self.rows
             .iter()
             .filter(|r| r.gap().unwrap_or(0) > 0)
@@ -105,7 +99,7 @@ impl AdaptiveGapResult {
 
     /// Distinct kernels where adaptive hints recovered part of that gap
     /// in at least one class.
-    pub fn recovered_kernels(&self) -> usize {
+    fn recovered_kernels(&self) -> usize {
         let mut names: Vec<&str> = self
             .rows
             .iter()
@@ -127,7 +121,7 @@ impl AdaptiveGapResult {
     }
 
     /// Rows that failed to reach the overlay fixpoint within the cap.
-    pub fn unconverged(&self) -> usize {
+    fn unconverged(&self) -> usize {
         self.rows.iter().filter(|r| !r.converged).count()
     }
 

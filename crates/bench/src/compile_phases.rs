@@ -226,7 +226,7 @@ impl CompilePhasesResult {
 
 impl PhaseBucket {
     /// Mean microseconds per compile.
-    pub fn mean_us(&self) -> f64 {
+    fn mean_us(&self) -> f64 {
         if self.hist.count == 0 {
             0.0
         } else {

@@ -262,7 +262,7 @@ impl AccountingResult {
     }
 
     /// Percent change of the OzQ-full bucket (paper: +8%).
-    pub fn l1d_bubble_delta(&self) -> f64 {
+    fn l1d_bubble_delta(&self) -> f64 {
         100.0
             * (self.hlo.be_l1d_fpu_bubble as f64 / self.baseline.be_l1d_fpu_bubble.max(1) as f64
                 - 1.0)
@@ -271,7 +271,7 @@ impl AccountingResult {
     /// Percent change of RSE cycles across the hot loops (paper: +14% —
     /// the register-stack traffic grows where registers are allocated, at
     /// pipelined-loop boundaries).
-    pub fn rse_delta(&self) -> f64 {
+    fn rse_delta(&self) -> f64 {
         100.0
             * (self.loop_hlo.be_rse_bubble as f64 / self.loop_baseline.be_rse_bubble.max(1) as f64
                 - 1.0)
@@ -279,12 +279,12 @@ impl AccountingResult {
 
     /// Percent change of unstalled execution across the hot loops
     /// (paper: +1.2% from the extra epilog iterations).
-    pub fn unstalled_delta(&self) -> f64 {
+    fn unstalled_delta(&self) -> f64 {
         100.0 * (self.loop_hlo.unstalled as f64 / self.loop_baseline.unstalled.max(1) as f64 - 1.0)
     }
 
     /// OzQ-full fractions over the hot loops (paper: 8.2% → 9.4%).
-    pub fn ozq_full_fractions(&self) -> (f64, f64) {
+    fn ozq_full_fractions(&self) -> (f64, f64) {
         (
             100.0 * self.loop_baseline.ozq_full_fraction(),
             100.0 * self.loop_hlo.ozq_full_fraction(),

@@ -22,12 +22,12 @@ pub struct OracleGapResult {
 
 impl OracleGapResult {
     /// Kernels with an exact (proved-minimal-II) verdict.
-    pub fn exact_count(&self) -> usize {
+    fn exact_count(&self) -> usize {
         self.rows.iter().filter(|r| r.gap().is_some()).count()
     }
 
     /// Kernels whose heuristic II is proven optimal.
-    pub fn optimal_count(&self) -> usize {
+    fn optimal_count(&self) -> usize {
         self.rows.iter().filter(|r| r.gap() == Some(0)).count()
     }
 

@@ -32,7 +32,7 @@ impl RegStatsResult {
     }
 
     /// Percent growth of outside-loop spills (paper: +1.8%).
-    pub fn spill_growth(&self) -> f64 {
+    fn spill_growth(&self) -> f64 {
         100.0 * (self.spills.1 as f64 / self.spills.0.max(1) as f64 - 1.0)
     }
 

@@ -57,7 +57,7 @@ pub struct Fingerprint(pub u128);
 
 impl Fingerprint {
     /// Fingerprints one byte string in a single call.
-    pub fn of_bytes(bytes: &[u8]) -> Fingerprint {
+    fn of_bytes(bytes: &[u8]) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write(bytes);
         h.finish()

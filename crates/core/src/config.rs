@@ -88,13 +88,6 @@ impl CompileConfig {
         }
     }
 
-    /// Attaches a sampled miss profile (enables
-    /// [`LatencyPolicy::MissSampled`]).
-    pub fn with_miss_profile(mut self, profile: Vec<Option<ltsp_ir::LatencyHint>>) -> Self {
-        self.miss_profile = Some(profile);
-        self
-    }
-
     /// Attaches an observed-hint overlay from the adaptive refinement
     /// loop; covered references override the static policy.
     pub fn with_observed_overlay(mut self, overlay: ltsp_hlo::ObservedOverlay) -> Self {

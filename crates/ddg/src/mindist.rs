@@ -332,11 +332,6 @@ impl MinDistSolver {
         }
     }
 
-    /// Number of carried edges in the decomposition.
-    pub fn carried_edges(&self) -> usize {
-        self.carried.len()
-    }
-
     /// Closes the carried-edge transition graph at `ii` into the scratch
     /// matrix `q`. Returns `false` when a positive cycle exists (the II
     /// is infeasible and longest paths are unbounded — caller must fall

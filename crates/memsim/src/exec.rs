@@ -302,15 +302,6 @@ impl<'a> Executor<'a> {
         &self.counters
     }
 
-    /// Resets memory-system state (not the counters); used between
-    /// independent experiment arms.
-    pub fn reset_memory(&mut self) {
-        self.mem.clear();
-        self.ozq.clear();
-        self.ready.clear();
-        self.pred_vals.clear();
-    }
-
     fn record_ready(&mut self, reg: VReg, src_iter: i64, time: u64) {
         let q = self.ready.entry(reg).or_default();
         q.push_back((src_iter, time));

@@ -81,11 +81,6 @@ impl Pool {
         }
     }
 
-    /// A pool sized to [`default_parallelism`].
-    pub fn with_default_parallelism() -> Self {
-        Pool::new(default_parallelism())
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers

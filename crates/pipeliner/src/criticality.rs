@@ -29,11 +29,6 @@ impl LoadClassification {
         self.class[inst.index()]
     }
 
-    /// True when the instruction is a load marked critical.
-    pub fn is_critical(&self, inst: InstId) -> bool {
-        self.class[inst.index()] == Some(LoadClass::Critical)
-    }
-
     /// The latency query the scheduler should issue for this load: the
     /// hint-derived expected latency for hinted non-critical loads, a
     /// partial exact latency for loads on balanced recurrence cycles, the
@@ -399,7 +394,7 @@ mod tests {
     mod ltsp_workloads_free {
         use ltsp_ir::{DataClass, LoopBuilder, LoopIr};
 
-        pub fn loops_with_cycles() -> Vec<LoopIr> {
+        pub(super) fn loops_with_cycles() -> Vec<LoopIr> {
             let mut out = Vec::new();
             // Chase with varying amounts of surrounding work.
             for extra in 0..4u64 {

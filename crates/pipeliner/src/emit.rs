@@ -60,19 +60,13 @@ impl RegisterAssignment {
         self.ranges.get(&reg).copied()
     }
 
-    /// The architectural register a loop-invariant (live-in) value lives
-    /// in (static, non-rotating).
-    pub fn static_reg(&self, reg: VReg) -> Option<u32> {
-        self.statics.get(&reg).copied()
-    }
-
     /// Pipeline stages (and stage predicates `p16 .. p16+stages-1`).
     pub fn stages(&self) -> u32 {
         self.stages
     }
 
     /// Rotating registers used in a class.
-    pub fn rotating_used(&self, class: RegClass) -> u32 {
+    fn rotating_used(&self, class: RegClass) -> u32 {
         match class {
             RegClass::Gr => self.used[0],
             RegClass::Fr => self.used[1],
@@ -81,20 +75,14 @@ impl RegisterAssignment {
     }
 
     /// The architectural name an instruction *writes* for its destination.
-    pub fn def_name(&self, reg: VReg) -> Option<String> {
+    fn def_name(&self, reg: VReg) -> Option<String> {
         let r = self.ranges.get(&reg)?;
         Some(arch_name(r.class, rotating_base(r.class) + r.offset))
     }
 
     /// The architectural name a *use* reads: the write register shifted by
     /// the back-edges crossed between definition and use.
-    pub fn use_name(
-        &self,
-        reg: VReg,
-        def_stage: u32,
-        use_stage: u32,
-        omega: u32,
-    ) -> Option<String> {
+    fn use_name(&self, reg: VReg, def_stage: u32, use_stage: u32, omega: u32) -> Option<String> {
         if let Some(r) = self.ranges.get(&reg) {
             let delta = use_stage + omega - def_stage.min(use_stage + omega);
             Some(arch_name(
@@ -471,7 +459,7 @@ mod tests {
     mod ltsp_workloads_free {
         use ltsp_ir::{DataClass, LoopBuilder, LoopIr};
 
-        pub fn mcfish() -> LoopIr {
+        pub(super) fn mcfish() -> LoopIr {
             let mut b = LoopBuilder::new("mcfish");
             let node = b.chase_ref("node", 0, 64, 1 << 22, 0.1);
             let fld = b.deref_ref("node->f", DataClass::Int, node, 128, 1 << 22, 8);

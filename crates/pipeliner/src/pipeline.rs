@@ -87,22 +87,6 @@ pub struct PipelinedLoop {
     pub stats: PipelineStats,
 }
 
-impl PipelinedLoop {
-    /// The scheduling latency the kernel assumed for each load —
-    /// `None` for non-loads. Useful for analysis and tests.
-    pub fn scheduled_load_latency(
-        &self,
-        lp: &LoopIr,
-        machine: &MachineModel,
-        inst: InstId,
-    ) -> Option<u32> {
-        match lp.inst(inst).op() {
-            Opcode::Load(dc) => Some(machine.load_latency(dc, self.classification.query(inst))),
-            _ => None,
-        }
-    }
-}
-
 /// Pipelining was rejected; the caller should fall back to the acyclic
 /// schedule (see [`acyclic_schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,8 +544,9 @@ mod tests {
         assert!(boosted.schedule.stage_count() > base.schedule.stage_count());
         assert_eq!(boosted.stats.boosted_loads, 1);
         // The load is scheduled at the typical L3 latency.
-        assert_eq!(boosted.scheduled_load_latency(&lp, &m, InstId(0)), Some(21));
-        assert_eq!(base.scheduled_load_latency(&lp, &m, InstId(0)), Some(1));
+        let l3 = LatencyQuery::Hinted(LatencyHint::L3);
+        assert_eq!(boosted.classification.query(InstId(0)), l3);
+        assert_eq!(base.classification.query(InstId(0)), LatencyQuery::Base);
     }
 
     #[test]
@@ -583,8 +568,9 @@ mod tests {
         .unwrap();
         assert_eq!(p.stats.critical_loads, 1);
         assert_eq!(p.stats.boosted_loads, 1);
-        assert_eq!(p.scheduled_load_latency(&lp, &m, InstId(0)), Some(1));
-        assert_eq!(p.scheduled_load_latency(&lp, &m, InstId(1)), Some(21));
+        let l3 = LatencyQuery::Hinted(LatencyHint::L3);
+        assert_eq!(p.classification.query(InstId(0)), LatencyQuery::Base);
+        assert_eq!(p.classification.query(InstId(1)), l3);
         assert_eq!(p.schedule.ii(), 1, "II survives the boost");
     }
 

@@ -72,7 +72,7 @@ impl FlightRecord {
     }
 
     /// The record as one JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         let mut out = format!(
             "{{\"id\":\"{}\",\"op\":\"{}\",\"fingerprint\":\"{}\",\"status\":\"{}\",\"cache\":\"{}\",\"phases\":{{",
             json::escape(&self.id),
@@ -139,7 +139,7 @@ impl FlightRecorder {
     }
 
     /// The current ring contents, oldest first, as JSONL.
-    pub fn render_jsonl(&self) -> String {
+    fn render_jsonl(&self) -> String {
         let ring = lock_unpoisoned(&self.ring);
         let mut out = String::new();
         for rec in ring.iter() {
@@ -221,7 +221,7 @@ pub fn read_dumps(dir: &Path) -> std::io::Result<Vec<(String, String)>> {
 }
 
 /// The fingerprint helper used for records (exposed for tests).
-pub fn request_fingerprint(op_tag: &str, loop_text: &str) -> Fingerprint {
+fn request_fingerprint(op_tag: &str, loop_text: &str) -> Fingerprint {
     let mut h = ltsp_cache::FingerprintHasher::new();
     h.write_str("flight-v1");
     h.write_str(op_tag);

@@ -41,7 +41,7 @@ pub enum Scalar {
 
 impl Scalar {
     /// Writes the value as a JSON token.
-    pub fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut String) {
         match self {
             Scalar::Str(s) => {
                 out.push('"');

@@ -331,12 +331,13 @@ pub fn compile_loop_adaptive(
         if round > 0 {
             round_cfg.observed_overlay = Some(overlay.clone());
         }
-        let compiled = ltsp_core::compile_loop_with_profile_traced(
+        let compiled = ltsp_core::compile_loop_with_profile_phased(
             lp,
             machine,
             &round_cfg,
             trip_estimate,
             tel,
+            None,
         );
 
         // Trust but verify: the independent validator re-derives every

@@ -316,6 +316,7 @@ pub fn issue_width_ablation() -> (AblationSeries, AblationSeries) {
 /// resulting code size in instructions, as the scheduled latency grows.
 pub fn mve_code_size_ablation(base_machine: &MachineModel) -> AblationSeries {
     use ltsp_pipeliner::{mve_unroll_factor, pipeline_loop, PipelineOptions};
+    use ltsp_telemetry::Telemetry;
     let lp = stream_sum("mve-ablation", DataClass::Int, 256);
     let points = [1u32, 6, 11, 21, 31]
         .into_iter()
@@ -329,7 +330,8 @@ pub fn mve_code_size_ablation(base_machine: &MachineModel) -> AblationSeries {
                 *base_machine.registers(),
             );
             let hint = |_| Some(ltsp_ir::LatencyHint::L3);
-            let p = pipeline_loop(&lp, &machine, &hint, &PipelineOptions::default())
+            let opts = PipelineOptions::default();
+            let p = pipeline_loop(&lp, &machine, &hint, &opts, &Telemetry::disabled())
                 .expect("pipelines");
             let factor = mve_unroll_factor(&lp, &p.schedule);
             // "Gain" column reused as code size: kernel instructions after

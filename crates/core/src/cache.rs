@@ -1,5 +1,5 @@
 //! The compile-side cache hook: content-addressed memoization of
-//! [`compile_loop_with_profile_traced`] results.
+//! [`compile_loop_with_profile_phased`] results.
 //!
 //! The cache key is a [`Fingerprint`] over the **canonicalized** inputs:
 //!
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use ltsp_cache::{CacheConfig, Fingerprint, FingerprintHasher, ShardedLru};
 use ltsp_ir::LoopIr;
 use ltsp_machine::MachineModel;
-use ltsp_telemetry::phase::{Phase, PhaseTimer};
+use ltsp_telemetry::phase::Phase;
 use ltsp_telemetry::Telemetry;
 
 use crate::compile::{compile_loop_with_profile_phased, CompiledLoop};
@@ -74,7 +74,7 @@ fn approx_bytes(c: &CompiledLoop) -> usize {
     format!("{c:?}").len()
 }
 
-/// [`compile_loop_with_profile_traced`] behind a [`CompileCache`]: returns
+/// [`compile_loop_with_profile_phased`] behind a [`CompileCache`]: returns
 /// the cached kernel for a previously seen (loop, config, machine, trip)
 /// tuple, or compiles, caches and returns. The boolean is `true` on a
 /// cache hit.
@@ -85,7 +85,8 @@ fn approx_bytes(c: &CompiledLoop) -> usize {
 /// indistinguishable to the caller except in latency. Note that a hit
 /// emits no compile-phase telemetry — the compile being skipped is the
 /// point — so callers that need a decision trace for a specific request
-/// should bypass the cache for it.
+/// should bypass the cache for it. A hit books its probe under
+/// `cache_lookup` on `tel`'s timer.
 pub fn compile_loop_cached(
     cache: &CompileCache,
     lp: &LoopIr,
@@ -94,29 +95,13 @@ pub fn compile_loop_cached(
     trip_estimate: f64,
     tel: &Telemetry,
 ) -> (Arc<CompiledLoop>, bool) {
-    compile_loop_cached_phased(cache, lp, machine, cfg, trip_estimate, tel, None)
-}
-
-/// [`compile_loop_cached`] with optional per-phase wall-clock
-/// attribution: a cold compile books its time under the compile phases
-/// (`hlo`/`ddg`/`mrt`/`sched`/`regalloc`), a hit books the probe under
-/// `cache_lookup`.
-pub fn compile_loop_cached_phased(
-    cache: &CompileCache,
-    lp: &LoopIr,
-    machine: &MachineModel,
-    cfg: &CompileConfig,
-    trip_estimate: f64,
-    tel: &Telemetry,
-    phases: Option<&PhaseTimer>,
-) -> (Arc<CompiledLoop>, bool) {
     let key = compile_key(lp, machine, cfg, trip_estimate);
     let t0 = std::time::Instant::now();
     let (compiled, hit) = cache.get_or_insert_with(key, approx_bytes, || {
-        compile_loop_with_profile_phased(lp, machine, cfg, trip_estimate, tel, phases)
+        compile_loop_with_profile_phased(lp, machine, cfg, trip_estimate, tel, None)
     });
     if hit {
-        if let Some(p) = phases {
+        if let Some(p) = tel.phases() {
             p.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
         }
     }
@@ -126,7 +111,7 @@ pub fn compile_loop_cached_phased(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_loop_with_profile_traced;
+    use crate::compile::compile_loop_with_profile;
     use crate::config::LatencyPolicy;
     use ltsp_workloads::saxpy;
 
@@ -196,7 +181,7 @@ mod tests {
         assert!(!hit0);
         assert!(hit1);
         assert!(Arc::ptr_eq(&cold, &warm), "a hit is a pointer clone");
-        let fresh = compile_loop_with_profile_traced(&lp, &m, &cfg, 100.0, &tel);
+        let fresh = compile_loop_with_profile(&lp, &m, &cfg, 100.0);
         assert_eq!(
             format!("{:?}", *warm),
             format!("{fresh:?}"),

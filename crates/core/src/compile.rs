@@ -1,14 +1,14 @@
 //! The compiler driver: HLO → criticality → latency-tolerant pipelining.
 
-use ltsp_hlo::{run_hlo_traced, HintReason, HloReport};
+use ltsp_hlo::{run_hlo, HintReason, HloReport};
 use ltsp_ir::{DataClass, InstId, LatencyHint, LoopIr, Opcode, RegClass};
 use ltsp_machine::LatencyQuery;
 use ltsp_machine::MachineModel;
 use ltsp_pipeliner::{
-    acyclic_schedule, pipeline_loop_phased, LoadClassification, ModuloSchedule, PipelineStats,
+    acyclic_schedule, pipeline_loop, LoadClassification, ModuloSchedule, PipelineStats,
     RegAllocation,
 };
-use ltsp_telemetry::phase::{time_opt, Phase, PhaseTimer};
+use ltsp_telemetry::phase::{Phase, PhaseTimer};
 use ltsp_telemetry::{Event, Telemetry};
 
 use crate::config::{CompileConfig, LatencyPolicy};
@@ -178,15 +178,6 @@ pub fn sample_miss_hints(
         .collect()
 }
 
-/// Compiles a loop with the configured policy and a default trip estimate.
-///
-/// Equivalent to [`compile_loop_with_profile`] with the HLO's default
-/// trip assumption; use the profile variant when trip information (PGO or
-/// static) is available.
-pub fn compile_loop(lp: &LoopIr, machine: &MachineModel, cfg: &CompileConfig) -> CompiledLoop {
-    compile_loop_with_profile(lp, machine, cfg, cfg.hlo.default_trip_estimate)
-}
-
 /// Compiles a loop believing `trip_estimate` iterations per entry.
 ///
 /// Pipeline: (1) the HLO inserts software prefetches and computes latency
@@ -201,7 +192,8 @@ pub fn compile_loop_with_profile(
     cfg: &CompileConfig,
     trip_estimate: f64,
 ) -> CompiledLoop {
-    compile_loop_with_profile_traced(lp, machine, cfg, trip_estimate, &Telemetry::disabled())
+    let tel = Telemetry::disabled();
+    compile_loop_with_profile_phased(lp, machine, cfg, trip_estimate, &tel, None)
 }
 
 /// Emits one [`Event::BoostAssigned`] per load the final kernel schedules
@@ -256,26 +248,35 @@ fn emit_boost_events(
     tel.counter_add("compile.boosted_loads", boosted);
 }
 
-/// [`compile_loop_with_profile`] with the whole decision trail recorded on
-/// a telemetry sink: HLO hint marking, criticality verdicts, scheduling
-/// attempts and fallbacks (via the traced HLO/pipeliner entry points),
-/// per-phase wall-clock spans, and a [`Event::BoostAssigned`] per load the
-/// kernel schedules at a boosted latency.
-pub fn compile_loop_with_profile_traced(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    cfg: &CompileConfig,
-    trip_estimate: f64,
-    tel: &Telemetry,
-) -> CompiledLoop {
-    compile_loop_with_profile_phased(lp, machine, cfg, trip_estimate, tel, None)
+/// Emits one [`Event::HloDecision`] per memory reference (which
+/// heuristic fired, the hint set, the prefetch distance chosen) plus the
+/// HLO counters.
+fn emit_hlo_events(tel: &Telemetry, lp: &LoopIr, hlo: &HloReport) {
+    for d in &hlo.decisions {
+        tel.emit(Event::HloDecision {
+            loop_name: lp.name().to_string(),
+            memref: lp.memref(d.memref).name().to_string(),
+            heuristic: d.reason.map(HintReason::id),
+            hint: d.hint.map(|h| match h {
+                LatencyHint::L2 => "L2",
+                LatencyHint::L3 => "L3",
+            }),
+            prefetch_distance: d.plan.map(|p| p.distance),
+            deduped: d.deduped,
+        });
+    }
+    tel.counter_add("hlo.refs", hlo.decisions.len() as u64);
+    tel.counter_add("hlo.prefetches_inserted", hlo.prefetches_inserted as u64);
+    tel.counter_add("hlo.hinted_refs", hlo.hinted as u64);
 }
 
-/// [`compile_loop_with_profile_traced`] with optional per-phase
-/// wall-clock attribution on a [`PhaseTimer`]: `hlo` for high-level
-/// optimization, and the pipeliner's `ddg`/`mrt`/`sched`/`regalloc`
-/// split (the acyclic fallback books its DDG rebuild and list schedule
-/// under `ddg`/`sched`). Timing is observational only.
+/// [`compile_loop_with_profile`] observed through `tel`: its sink records
+/// the decision trail (HLO hints, criticality verdicts, scheduling
+/// attempts and fallbacks, spans, one [`Event::BoostAssigned`] per boosted
+/// load), and its timer books `hlo` plus the pipeliner's
+/// `ddg`/`mrt`/`sched`/`regalloc` split (the acyclic fallback books under
+/// `ddg`/`sched`). `phases`, when given, is attached to `tel` on entry.
+/// Observation never changes the result.
 pub fn compile_loop_with_profile_phased(
     lp: &LoopIr,
     machine: &MachineModel,
@@ -284,6 +285,7 @@ pub fn compile_loop_with_profile_phased(
     tel: &Telemetry,
     phases: Option<&PhaseTimer>,
 ) -> CompiledLoop {
+    let tel = &phases.map_or_else(|| tel.clone(), |t| tel.with_phases(t));
     let mut lp = lp.clone();
     let hlo = {
         let _span = tel.span(format!("hlo:{}", lp.name()));
@@ -301,15 +303,19 @@ pub fn compile_loop_with_profile_phased(
         } else {
             &cfg.hlo
         };
-        time_opt(phases, Phase::Hlo, || {
-            run_hlo_traced(&mut lp, machine, Some(trip_estimate), hlo_cfg, tel)
-        })
+        let hlo = tel.time(Phase::Hlo, || {
+            run_hlo(&mut lp, machine, Some(trip_estimate), hlo_cfg)
+        });
+        if tel.is_enabled() {
+            emit_hlo_events(tel, &lp, &hlo);
+        }
+        hlo
     };
 
     let hint_fn = |inst: InstId| hint_for_load(&lp, &hlo, cfg, trip_estimate, inst);
     let pipelined = {
         let _span = tel.span(format!("pipeline:{}", lp.name()));
-        pipeline_loop_phased(&lp, machine, &hint_fn, &cfg.pipeline, tel, phases)
+        pipeline_loop(&lp, machine, &hint_fn, &cfg.pipeline, tel)
     };
     tel.counter_add("compile.loops", 1);
     match pipelined {
@@ -350,12 +356,10 @@ pub fn compile_loop_with_profile_phased(
                 tel.counter_add("compile.acyclic_fallbacks", 1);
             }
             // Rebuild the base-latency DDG for the fallback.
-            let ddg = time_opt(phases, Phase::Ddg, || {
+            let ddg = tel.time(Phase::Ddg, || {
                 ltsp_ddg::Ddg::build_with_load_floor(&lp, machine, 0)
             });
-            let kernel = time_opt(phases, Phase::Sched, || {
-                acyclic_schedule(&lp, machine, &ddg)
-            });
+            let kernel = tel.time(Phase::Sched, || acyclic_schedule(&lp, machine, &ddg));
             let regs_total = (lp.vreg_count(RegClass::Gr)
                 + lp.vreg_count(RegClass::Fr)
                 + lp.vreg_count(RegClass::Pr)) as u32;
@@ -386,11 +390,8 @@ mod tests {
     #[test]
     fn baseline_compiles_and_pipelines() {
         let lp = saxpy("s");
-        let c = compile_loop(
-            &lp,
-            &machine(),
-            &CompileConfig::new(LatencyPolicy::Baseline),
-        );
+        let cfg = CompileConfig::new(LatencyPolicy::Baseline);
+        let c = compile_loop_with_profile(&lp, &machine(), &cfg, cfg.hlo.default_trip_estimate);
         assert!(c.pipelined);
         assert!(
             c.hlo.prefetches_inserted > 0,
@@ -475,7 +476,7 @@ mod tests {
         let mut cfg = CompileConfig::new(LatencyPolicy::Baseline);
         cfg.pipeline.max_ii_slack = 0;
         cfg.pipeline.budget_factor = 1;
-        let c = compile_loop(&lp, &machine(), &cfg);
+        let c = compile_loop_with_profile(&lp, &machine(), &cfg, cfg.hlo.default_trip_estimate);
         if !c.pipelined {
             assert_eq!(c.kernel.stage_count(), 1);
         }

@@ -7,7 +7,7 @@
 //! - [`LatencyPolicy`] — the four configurations of Figs. 7–9: baseline,
 //!   blanket L3 hints ("headroom"), blanket L2 hints on FP loads, and
 //!   HLO-directed hints;
-//! - [`compile_loop`] — HLO prefetching + hint assignment, criticality
+//! - [`compile_loop_with_profile`] — HLO prefetching + hint assignment, criticality
 //!   analysis, latency-tolerant modulo scheduling, rotating register
 //!   allocation, and the acyclic fallback;
 //! - [`theory`] — the closed-form cost/benefit model of Sec. 2
@@ -23,12 +23,9 @@ mod report;
 mod runner;
 pub mod theory;
 
-pub use cache::{
-    compile_key, compile_loop_cached, compile_loop_cached_phased, new_compile_cache, CompileCache,
-};
+pub use cache::{compile_key, compile_loop_cached, new_compile_cache, CompileCache};
 pub use compile::{
-    compile_loop, compile_loop_with_profile, compile_loop_with_profile_phased,
-    compile_loop_with_profile_traced, sample_miss_hints, CompiledLoop,
+    compile_loop_with_profile, compile_loop_with_profile_phased, sample_miss_hints, CompiledLoop,
 };
 pub use config::{CompileConfig, LatencyPolicy};
 pub use report::{format_cycle_accounting, format_gain_table, geomean_gain};

@@ -9,7 +9,7 @@ use ltsp_par::Pool;
 use ltsp_telemetry::Telemetry;
 use ltsp_workloads::{Benchmark, LoopSpec};
 
-use crate::compile::compile_loop_with_profile_traced;
+use crate::compile::{compile_loop_with_profile, compile_loop_with_profile_phased};
 use crate::config::CompileConfig;
 
 /// Process-wide default worker count picked up by [`RunConfig::new`]
@@ -181,12 +181,13 @@ fn run_loop(bench_name: &str, spec: &LoopSpec, machine: &MachineModel, rc: &RunC
     } else {
         spec.static_trip_estimate
     };
-    let compiled = compile_loop_with_profile_traced(
+    let compiled = compile_loop_with_profile_phased(
         &spec.loop_ir,
         machine,
         &rc.compile,
         trip_estimate,
         &rc.telemetry,
+        None,
     );
 
     let loop_seed = rc.seed ^ fnv(bench_name) ^ fnv(&spec.name);
@@ -255,19 +256,14 @@ fn run_loop_versioned(
     let boost_cfg = rc.compile.clone().with_threshold(0);
     // Only the boosted version's compile is traced — the baseline version
     // makes no latency decisions worth recording.
-    let base = compile_loop_with_profile_traced(
-        &spec.loop_ir,
-        machine,
-        &base_cfg,
-        trip_estimate,
-        &Telemetry::disabled(),
-    );
-    let boost = compile_loop_with_profile_traced(
+    let base = compile_loop_with_profile(&spec.loop_ir, machine, &base_cfg, trip_estimate);
+    let boost = compile_loop_with_profile_phased(
         &spec.loop_ir,
         machine,
         &boost_cfg,
         trip_estimate,
         &rc.telemetry,
+        None,
     );
     debug_assert_eq!(
         base.lp, boost.lp,

@@ -47,26 +47,6 @@ impl Ddg {
         out
     }
 
-    /// [`Ddg::recurrence_cycles`] with the enumeration outcome recorded
-    /// on a telemetry sink (cycle count and whether the cap truncated the
-    /// search — a truncated enumeration can under-mark critical loads).
-    pub fn recurrence_cycles_traced(
-        &self,
-        cap: usize,
-        tel: &ltsp_telemetry::Telemetry,
-    ) -> Vec<RecurrenceCycle> {
-        let out = self.recurrence_cycles(cap);
-        if tel.is_enabled() {
-            tel.emit(ltsp_telemetry::Event::CycleEnumeration {
-                cycles: out.len() as u64,
-                cap: cap as u64,
-                truncated: out.len() >= cap,
-            });
-            tel.counter_add("ddg.recurrence_cycles", out.len() as u64);
-        }
-        out
-    }
-
     fn cycles_in_scc(&self, scc: &[InstId], cap: usize, out: &mut Vec<RecurrenceCycle>) {
         let in_scc: std::collections::HashSet<usize> = scc.iter().map(|id| id.index()).collect();
         // Johnson-style: for each start node (ascending), find simple

@@ -23,4 +23,4 @@ mod overlay;
 mod prefetch;
 
 pub use overlay::{HintSource, ObservedHint, ObservedOverlay, ObservedVerdict};
-pub use prefetch::{run_hlo, run_hlo_traced, HintReason, HloConfig, HloReport, RefDecision};
+pub use prefetch::{run_hlo, HintReason, HloConfig, HloReport, RefDecision};

@@ -373,38 +373,6 @@ pub fn run_hlo(
     }
 }
 
-/// [`run_hlo`] with every per-reference decision recorded on a telemetry
-/// sink as an [`ltsp_telemetry::Event::HloDecision`] (which heuristic
-/// fired, the hint set, the prefetch distance chosen).
-pub fn run_hlo_traced(
-    lp: &mut LoopIr,
-    machine: &MachineModel,
-    trip_estimate: Option<f64>,
-    cfg: &HloConfig,
-    tel: &ltsp_telemetry::Telemetry,
-) -> HloReport {
-    let report = run_hlo(lp, machine, trip_estimate, cfg);
-    if tel.is_enabled() {
-        for d in &report.decisions {
-            tel.emit(ltsp_telemetry::Event::HloDecision {
-                loop_name: lp.name().to_string(),
-                memref: lp.memref(d.memref).name().to_string(),
-                heuristic: d.reason.map(HintReason::id),
-                hint: d.hint.map(|h| match h {
-                    LatencyHint::L2 => "L2",
-                    LatencyHint::L3 => "L3",
-                }),
-                prefetch_distance: d.plan.map(|p| p.distance),
-                deduped: d.deduped,
-            });
-        }
-        tel.counter_add("hlo.refs", report.decisions.len() as u64);
-        tel.counter_add("hlo.prefetches_inserted", report.prefetches_inserted as u64);
-        tel.counter_add("hlo.hinted_refs", report.hinted as u64);
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,6 +71,7 @@ struct ExecInst {
 /// use ltsp_machine::MachineModel;
 /// use ltsp_memsim::{Executor, ExecutorConfig};
 /// use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
+/// use ltsp_telemetry::Telemetry;
 ///
 /// let mut b = LoopBuilder::new("ex");
 /// let a = b.affine_ref("a[i]", DataClass::Int, 0x1000, 4, 4);
@@ -78,7 +79,7 @@ struct ExecInst {
 /// let _ = b.add_reduce(v);
 /// let lp = b.build()?;
 /// let m = MachineModel::itanium2();
-/// let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+/// let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default(), &Telemetry::disabled()).unwrap();
 ///
 /// let mut ex = Executor::new(&lp, &p.schedule, &m, 8, ExecutorConfig::default());
 /// ex.run_entry(100);
@@ -599,13 +600,15 @@ mod tests {
     use super::*;
     use ltsp_ir::{DataClass, LoopBuilder};
     use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
+    use ltsp_telemetry::Telemetry;
 
     fn compile(
         lp: &LoopIr,
         m: &MachineModel,
         hint: Option<ltsp_ir::LatencyHint>,
     ) -> ModuloSchedule {
-        pipeline_loop(lp, m, &move |_| hint, &PipelineOptions::default())
+        let opts = PipelineOptions::default();
+        pipeline_loop(lp, m, &move |_| hint, &opts, &Telemetry::disabled())
             .unwrap()
             .schedule
     }

@@ -29,11 +29,9 @@ use std::time::Instant;
 use ltsp_ddg::Ddg;
 use ltsp_ir::LoopIr;
 use ltsp_machine::MachineModel;
-use ltsp_pipeliner::{
-    acyclic_schedule, allocate_rotating, pipeline_loop, ModuloSchedule, PipelineOptions,
-    RegAllocation,
-};
+use ltsp_pipeliner::{allocate_rotating, ModuloSchedule, RegAllocation};
 
+use crate::differential::heuristic_schedule;
 use crate::exact::{prove_min_ii, search_at_registered, Feasibility, IiVerdict, OracleOptions};
 use crate::validator::{validate_schedule, Certificate, Violation};
 
@@ -162,11 +160,7 @@ pub fn exact_case(
     opts: &OracleOptions,
 ) -> Result<ExactCase, Vec<Violation>> {
     let ddg = Ddg::build_with_load_floor(lp, machine, 0);
-    let (upper, pipelined) =
-        match pipeline_loop(lp, machine, &|_| None, &PipelineOptions::default()) {
-            Ok(p) => (p.schedule, true),
-            Err(_) => (acyclic_schedule(lp, machine, &ddg), false),
-        };
+    let (upper, pipelined) = heuristic_schedule(lp, machine, &ddg);
     let heuristic_ii = upper.ii();
     let result = exact_schedule(lp, machine, &ddg, &upper, opts)?;
     Ok(ExactCase {
@@ -182,9 +176,9 @@ mod tests {
     use super::*;
 
     fn heuristic(lp: &LoopIr, m: &MachineModel) -> ModuloSchedule {
-        pipeline_loop(lp, m, &|_| None, &PipelineOptions::default())
-            .expect("test loops pipeline")
-            .schedule
+        let (sched, pipelined) = heuristic_schedule(lp, m, &Ddg::build_with_load_floor(lp, m, 0));
+        assert!(pipelined, "test loops pipeline");
+        sched
     }
 
     #[test]
@@ -253,12 +247,12 @@ mod tests {
                 continue;
             }
             let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
-            let Ok(p) = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()) else {
+            let (heur, true) = heuristic_schedule(&lp, &m, &ddg) else {
                 continue;
             };
-            let r = exact_schedule(&lp, &m, &ddg, &p.schedule, &opts)
+            let r = exact_schedule(&lp, &m, &ddg, &heur, &opts)
                 .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
-            assert!(r.schedule.ii() <= p.schedule.ii(), "seed {seed}");
+            assert!(r.schedule.ii() <= heur.ii(), "seed {seed}");
             assert_eq!(
                 r.regs,
                 allocate_rotating(&lp, &r.schedule, &m).unwrap(),

@@ -70,6 +70,20 @@ impl CaseReport {
     }
 }
 
+/// The heuristic pipeliner's base-latency schedule, or the acyclic
+/// fallback when pipelining is rejected; the flag says which.
+pub(crate) fn heuristic_schedule(
+    lp: &LoopIr,
+    machine: &MachineModel,
+    ddg: &Ddg,
+) -> (ModuloSchedule, bool) {
+    let opts = PipelineOptions::default();
+    match pipeline_loop(lp, machine, &|_| None, &opts, &Telemetry::disabled()) {
+        Ok(p) => (p.schedule, true),
+        Err(_) => (acyclic_schedule(lp, machine, ddg), false),
+    }
+}
+
 /// Runs one loop through the heuristic pipeliner, the validator and the
 /// oracle. Emits an [`Event::OracleVerdict`] on `tel` when enabled.
 pub fn differential_case(
@@ -82,11 +96,7 @@ pub fn differential_case(
     // `build_with_load_floor(.., 0)` are the same edges, so the oracle
     // answers exactly the question the heuristic attempted.
     let ddg = Ddg::build_with_load_floor(lp, machine, 0);
-    let (sched, pipelined): (ModuloSchedule, bool) =
-        match pipeline_loop(lp, machine, &|_| None, &PipelineOptions::default()) {
-            Ok(p) => (p.schedule, true),
-            Err(_) => (acyclic_schedule(lp, machine, &ddg), false),
-        };
+    let (sched, pipelined) = heuristic_schedule(lp, machine, &ddg);
     let heuristic_ii = sched.ii();
     let violations = match validate_schedule(lp, &ddg, &sched, machine) {
         Ok(_) => Vec::new(),

@@ -14,7 +14,8 @@ use ltsp_ddg::Ddg;
 use ltsp_ir::LoopIr;
 use ltsp_machine::MachineModel;
 use ltsp_oracle::{exact_schedule, prove_min_ii, validate_schedule, IiVerdict, OracleOptions};
-use ltsp_pipeliner::{acyclic_schedule, pipeline_loop, ModuloSchedule, PipelineOptions};
+use ltsp_pipeliner::{acyclic_schedule, pipeline_loop, PipelineOptions};
+use ltsp_telemetry::Telemetry;
 
 const SEED0: u64 = 0x5eed;
 const CASES: u64 = 200;
@@ -30,7 +31,8 @@ fn opts() -> OracleOptions {
 /// invariant. Returns (heuristic II, exact II, proven_optimal).
 fn cross_check(name: &str, lp: &LoopIr, m: &MachineModel) -> (u32, u32, bool) {
     let ddg = Ddg::build_with_load_floor(lp, m, 0);
-    let heur: ModuloSchedule = match pipeline_loop(lp, m, &|_| None, &PipelineOptions::default()) {
+    let popts = PipelineOptions::default();
+    let heur = match pipeline_loop(lp, m, &|_| None, &popts, &Telemetry::disabled()) {
         Ok(p) => p.schedule,
         Err(_) => acyclic_schedule(lp, m, &ddg),
     };

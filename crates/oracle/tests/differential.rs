@@ -17,6 +17,7 @@ mod outlier_exact {
     use ltsp_machine::MachineModel;
     use ltsp_oracle::{exact_schedule, validate_schedule, OracleOptions};
     use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
+    use ltsp_telemetry::Telemetry;
 
     /// The gap-1 outlier pinned below is exactly what the exact backend
     /// exists for: where the heuristic settles at II=4 and the oracle
@@ -28,7 +29,8 @@ mod outlier_exact {
         let m = MachineModel::itanium2();
         let lp = ltsp_workloads::random_loop(0x5f71);
         let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
-        let heur = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default())
+        let opts = PipelineOptions::default();
+        let heur = pipeline_loop(&lp, &m, &|_| None, &opts, &Telemetry::disabled())
             .expect("outlier pipelines")
             .schedule;
         assert_eq!(heur.ii(), 4, "heuristic II drifted; re-pin this test");

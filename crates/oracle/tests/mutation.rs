@@ -8,7 +8,8 @@ use ltsp_ddg::Ddg;
 use ltsp_ir::{DataClass, InstId, LoopBuilder, LoopIr};
 use ltsp_machine::MachineModel;
 use ltsp_oracle::validate_schedule;
-use ltsp_pipeliner::{ModuloSchedule, ModuloScheduler};
+use ltsp_pipeliner::{pipeline_loop, ModuloSchedule, ModuloScheduler};
+use ltsp_telemetry::Telemetry;
 
 fn running_example() -> LoopIr {
     let mut b = LoopBuilder::new("ex");
@@ -172,10 +173,11 @@ fn mutant_wrong_shape_is_rejected_as_shape() {
 #[test]
 fn systematic_single_op_shifts_never_falsely_certify() {
     let m = MachineModel::itanium2();
+    let tel = Telemetry::disabled();
     for seed in 0..20u64 {
         let lp = ltsp_workloads::random_loop(seed);
         let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
-        let Ok(p) = ltsp_pipeliner::pipeline_loop(&lp, &m, &|_| None, &Default::default()) else {
+        let Ok(p) = pipeline_loop(&lp, &m, &|_| None, &Default::default(), &tel) else {
             continue;
         };
         let sched = p.schedule;

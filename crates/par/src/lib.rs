@@ -124,8 +124,8 @@ impl Pool {
         F: Fn(&Telemetry, usize, &T) -> R + Sync,
     {
         if !tel.is_enabled() {
-            let disabled = Telemetry::disabled();
-            return self.map(items, |idx, item| f(&disabled, idx, item));
+            let child = tel.fork();
+            return self.map(items, |idx, item| f(&child, idx, item));
         }
         let outs = self.map_worker(items, |idx, item, worker| {
             let child = tel.fork();

@@ -168,7 +168,7 @@ pub fn form_bundles(lp: &LoopIr, sched: &ModuloSchedule) -> BundledKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{pipeline_loop, PipelineOptions};
+    use crate::pipeline::pipelined;
     use ltsp_ir::{DataClass, LoopBuilder};
     use ltsp_machine::MachineModel;
 
@@ -188,7 +188,7 @@ mod tests {
         // ld + st (M, M) + add (A) pack into a single MMI bundle.
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let bundled = form_bundles(&lp, &p.schedule);
         assert_eq!(bundled.cycles.len(), 1);
         assert_eq!(bundled.cycles[0].len(), 1);
@@ -202,7 +202,7 @@ mod tests {
     fn every_instruction_is_placed_exactly_once() {
         let m = MachineModel::itanium2();
         let lp = ltsp_workloads_free::mixed();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let bundled = form_bundles(&lp, &p.schedule);
         let mut placed: Vec<ltsp_ir::InstId> = bundled
             .cycles
@@ -220,7 +220,7 @@ mod tests {
     fn slots_match_their_unit_types() {
         let m = MachineModel::itanium2();
         let lp = ltsp_workloads_free::mixed();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let bundled = form_bundles(&lp, &p.schedule);
         for cycle in &bundled.cycles {
             for b in cycle {

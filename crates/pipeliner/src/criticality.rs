@@ -3,6 +3,7 @@
 use ltsp_ddg::Ddg;
 use ltsp_ir::{InstId, LatencyHint, LoopIr, Opcode};
 use ltsp_machine::{LatencyQuery, MachineModel};
+use ltsp_telemetry::{Event, Telemetry};
 
 /// Whether a load may be scheduled at its hint-derived expected latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,56 +72,27 @@ impl LoadClassification {
 /// hints, blanket L3, FP-only L2, …). Loads without a hint are never
 /// boosted, but still participate in cycle marking as the paper specifies
 /// (all loads of a violating cycle become critical).
+///
+/// `balance_cycles` enables the **balanced-recurrence extension** the
+/// paper names as future work ("balancing latency increases between
+/// different loads on a recurrence cycle"): instead of marking every load
+/// on a violating cycle critical, the cycle's slack against the Min II —
+/// `threshold·Σomega − base length` — is divided equally among the
+/// cycle's load-data edges, and each load is scheduled for
+/// `base + share`, capped at its hinted expected latency. Loads on several
+/// cycles take the smallest share. With `balance_cycles = false` this is
+/// exactly the paper's algorithm.
+///
+/// `tel` records the cycle enumeration and, per load, an
+/// [`Event::CriticalityVerdict`] (worst raised-cycle II vs the threshold).
 pub fn classify_loads(
     lp: &LoopIr,
     machine: &MachineModel,
     ddg_base: &Ddg,
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     cycle_cap: usize,
-) -> LoadClassification {
-    classify_loads_with(lp, machine, ddg_base, hint_of, cycle_cap, false)
-}
-
-/// [`classify_loads`] with the **balanced-recurrence extension** the paper
-/// names as future work ("balancing latency increases between different
-/// loads on a recurrence cycle"): instead of marking every load on a
-/// violating cycle critical, the cycle's slack against the Min II —
-/// `threshold·Σomega − base length` — is divided equally among the cycle's
-/// load-data edges, and each load is scheduled for `base + share`, capped
-/// at its hinted expected latency. Loads on several cycles take the
-/// smallest share. With `balance_cycles = false` this is exactly the
-/// paper's algorithm.
-pub fn classify_loads_with(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    ddg_base: &Ddg,
-    hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
-    cycle_cap: usize,
     balance_cycles: bool,
-) -> LoadClassification {
-    classify_loads_traced(
-        lp,
-        machine,
-        ddg_base,
-        hint_of,
-        cycle_cap,
-        balance_cycles,
-        &ltsp_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`classify_loads_with`] recording the analysis on a telemetry sink:
-/// the recurrence-cycle enumeration and, per load, a
-/// [`ltsp_telemetry::Event::CriticalityVerdict`] with the worst implied II
-/// over raised cycles through the load against the II threshold.
-pub fn classify_loads_traced(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    ddg_base: &Ddg,
-    hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
-    cycle_cap: usize,
-    balance_cycles: bool,
-    tel: &ltsp_telemetry::Telemetry,
+    tel: &Telemetry,
 ) -> LoadClassification {
     let n = lp.insts().len();
     let mut class: Vec<Option<LoadClass>> = lp
@@ -167,7 +139,21 @@ pub fn classify_loads_traced(
     // the per-load criticality verdicts in the decision trace.
     let mut worst_ii: Vec<u32> = vec![0; n];
 
-    for cycle in ddg_base.recurrence_cycles_traced(cycle_cap, tel) {
+    // Enumerating one cycle past the cap tells a graph with exactly
+    // `cycle_cap` cycles, fully enumerated, from a truncated one (which
+    // can under-mark critical loads).
+    let mut cycles = ddg_base.recurrence_cycles(cycle_cap.saturating_add(1));
+    let truncated = cycles.len() > cycle_cap;
+    cycles.truncate(cycle_cap);
+    if tel.is_enabled() {
+        tel.emit(Event::CycleEnumeration {
+            cycles: cycles.len() as u64,
+            cap: cycle_cap as u64,
+            truncated,
+        });
+        tel.counter_add("ddg.recurrence_cycles", cycles.len() as u64);
+    }
+    for cycle in cycles {
         let summary = ddg_base.cycle_summary(&cycle, &raised);
         for load in ddg_base.cycle_loads(&cycle) {
             let w = &mut worst_ii[load.index()];
@@ -246,7 +232,7 @@ pub fn classify_loads_traced(
                 continue;
             }
             let critical = class[i] == Some(LoadClass::Critical);
-            tel.emit(ltsp_telemetry::Event::CriticalityVerdict {
+            tel.emit(Event::CriticalityVerdict {
                 loop_name: lp.name().to_string(),
                 load: format!("i{i}"),
                 critical,
@@ -288,6 +274,19 @@ mod tests {
         })
     }
 
+    /// [`classify_loads`] with one hint for every load and no observation.
+    fn classify(
+        lp: &LoopIr,
+        m: &MachineModel,
+        ddg: &Ddg,
+        hint: Option<LatencyHint>,
+        cycle_cap: usize,
+        balance_cycles: bool,
+    ) -> LoadClassification {
+        let tel = Telemetry::disabled();
+        classify_loads(lp, m, ddg, &|_| hint, cycle_cap, balance_cycles, &tel)
+    }
+
     #[test]
     fn streaming_load_is_non_critical() {
         let m = MachineModel::itanium2();
@@ -300,7 +299,7 @@ mod tests {
         b.store(d, s);
         let lp = b.build().unwrap();
         let ddg = build_ddg_base(&lp, &m);
-        let cls = classify_loads(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000);
+        let cls = classify(&lp, &m, &ddg, Some(LatencyHint::L3), 1000, false);
         assert_eq!(cls.class(InstId(0)), Some(LoadClass::NonCritical));
         assert_eq!(cls.query(InstId(0)), LatencyQuery::Hinted(LatencyHint::L3));
         assert_eq!(cls.boosted_count(), 1);
@@ -318,7 +317,7 @@ mod tests {
         let _ = (nv, acc);
         let lp = b.build().unwrap();
         let ddg = build_ddg_base(&lp, &m);
-        let cls = classify_loads(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000);
+        let cls = classify(&lp, &m, &ddg, Some(LatencyHint::L3), 1000, false);
         // The chase load feeds itself: raising it to 21 would push the
         // recurrence to 21 >> MinII, so it is critical.
         assert_eq!(cls.class(InstId(0)), Some(LoadClass::Critical));
@@ -349,11 +348,11 @@ mod tests {
         let ddg = build_ddg_base(&lp, &m);
         assert_eq!(m.res_mii(&lp), 2);
 
-        let strict = classify_loads_with(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000, false);
+        let strict = classify(&lp, &m, &ddg, Some(LatencyHint::L3), 1000, false);
         assert_eq!(strict.class(InstId(0)), Some(LoadClass::Critical));
         assert_eq!(strict.query(InstId(0)), LatencyQuery::Base);
 
-        let balanced = classify_loads_with(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000, true);
+        let balanced = classify(&lp, &m, &ddg, Some(LatencyHint::L3), 1000, true);
         assert_eq!(balanced.class(InstId(0)), Some(LoadClass::NonCritical));
         assert_eq!(balanced.query(InstId(0)), LatencyQuery::Exact(2));
         // Off-cycle loads keep their full hinted latency in both modes.
@@ -371,7 +370,7 @@ mod tests {
         for lp in loops_with_cycles() {
             let ddg = build_ddg_base(&lp, &m);
             let threshold = m.res_mii(&lp).max(ddg.rec_mii());
-            let cls = classify_loads_with(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000, true);
+            let cls = classify(&lp, &m, &ddg, Some(LatencyHint::L3), 1000, true);
             // Rebuild the DDG with the balanced latencies: the RecMII must
             // not exceed the threshold.
             let boosted = Ddg::build(&lp, &m, &|id| {
@@ -421,7 +420,7 @@ mod tests {
         let _ = b.add(v, v);
         let lp = b.build().unwrap();
         let ddg = build_ddg_base(&lp, &m);
-        let cls = classify_loads(&lp, &m, &ddg, &|_| None, 1000);
+        let cls = classify(&lp, &m, &ddg, None, 1000, false);
         assert_eq!(cls.class(InstId(0)), Some(LoadClass::NonCritical));
         assert_eq!(cls.query(InstId(0)), LatencyQuery::Base);
         assert_eq!(cls.boosted_count(), 0);
@@ -475,7 +474,7 @@ mod tests {
         let lp = LoopIr::new("slacky", insts, memrefs, vec![], vec![]).unwrap();
         let ddg = build_ddg_base(&lp, &m);
         assert_eq!(m.res_mii(&lp), 5);
-        let cls = classify_loads(&lp, &m, &ddg, &|_| Some(LatencyHint::L2), 10_000);
+        let cls = classify(&lp, &m, &ddg, Some(LatencyHint::L2), 10_000, false);
         for k in 0..10u32 {
             assert_eq!(
                 cls.class(InstId(k)),
@@ -527,8 +526,38 @@ mod tests {
         // itself (ref 0 is loaded by inst 0).
         let lp = LoopIr::new("tight", insts, memrefs, vec![], vec![]).unwrap();
         let ddg = build_ddg_base(&lp, &m);
-        let cls = classify_loads(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 10_000);
+        let cls = classify(&lp, &m, &ddg, Some(LatencyHint::L3), 10_000, false);
         assert_eq!(cls.class(InstId(0)), Some(LoadClass::Critical));
         assert_eq!(cls.boosted_count(), 0);
+    }
+
+    #[test]
+    fn truncation_means_a_cycle_was_left_unvisited() {
+        let m = MachineModel::itanium2();
+        let mut b = LoopBuilder::new("recs");
+        for k in 0..3u64 {
+            let r = b.affine_ref(&format!("x{k}"), DataClass::Int, k << 20, 4, 4);
+            let v = b.load(r);
+            let _ = b.add_reduce(v);
+        }
+        let lp = b.build().unwrap();
+        let ddg = build_ddg_base(&lp, &m);
+        let all = ddg.recurrence_cycles(usize::MAX).len();
+        assert!(all >= 2, "{all} cycles");
+        let enumeration = |cap: usize| {
+            let tel = Telemetry::enabled();
+            classify_loads(&lp, &m, &ddg, &|_| None, cap, false, &tel);
+            tel.events()
+                .into_iter()
+                .find_map(|e| match e.event {
+                    Event::CycleEnumeration {
+                        cycles, truncated, ..
+                    } => Some((cycles, truncated)),
+                    _ => None,
+                })
+                .expect("enumeration traced")
+        };
+        assert_eq!(enumeration(all), (all as u64, false));
+        assert_eq!(enumeration(all - 1), (all as u64 - 1, true));
     }
 }

@@ -275,6 +275,7 @@ fn mem_operand(lp: &LoopIr, inst: &ltsp_ir::Inst) -> String {
 /// use ltsp_ir::{DataClass, LoopBuilder};
 /// use ltsp_machine::MachineModel;
 /// use ltsp_pipeliner::{assign_registers, emit_kernel, pipeline_loop, PipelineOptions};
+/// use ltsp_telemetry::Telemetry;
 ///
 /// let mut b = LoopBuilder::new("ex");
 /// let src = b.affine_ref("src", DataClass::Int, 0, 4, 4);
@@ -285,7 +286,7 @@ fn mem_operand(lp: &LoopIr, inst: &ltsp_ir::Inst) -> String {
 /// b.store(dst, s);
 /// let lp = b.build()?;
 /// let m = MachineModel::itanium2();
-/// let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+/// let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default(), &Telemetry::disabled()).unwrap();
 /// let asm = emit_kernel(&lp, &p.schedule, &assign_registers(&lp, &p.schedule, &m).unwrap());
 /// assert!(asm.contains("br.ctop"));
 /// assert!(asm.contains("(p16)"));
@@ -369,7 +370,7 @@ pub fn emit_kernel(lp: &LoopIr, sched: &ModuloSchedule, assign: &RegisterAssignm
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{pipeline_loop, PipelineOptions};
+    use crate::pipeline::pipelined;
     use ltsp_ir::{DataClass, LoopBuilder};
 
     fn running_example() -> LoopIr {
@@ -389,7 +390,7 @@ mod tests {
         // rotation later) and writes r34, the store reads r35.
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         assert_eq!(p.schedule.ii(), 1);
         let a = assign_registers(&lp, &p.schedule, &m).unwrap();
 
@@ -411,13 +412,7 @@ mod tests {
         // The packed totals equal allocate_rotating's per-class sums.
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let p = pipeline_loop(
-            &lp,
-            &m,
-            &|_| Some(ltsp_ir::LatencyHint::L3),
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let p = pipelined(&lp, &m, Some(ltsp_ir::LatencyHint::L3));
         let counted = crate::allocate_rotating(&lp, &p.schedule, &m).unwrap();
         let assigned = assign_registers(&lp, &p.schedule, &m).unwrap();
         let close = |a: u32, b: u32| a.abs_diff(b) <= 2;
@@ -437,7 +432,7 @@ mod tests {
     fn ranges_are_disjoint() {
         let m = MachineModel::itanium2();
         let lp = ltsp_workloads_free::mcfish();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let a = assign_registers(&lp, &p.schedule, &m).unwrap();
         let mut seen: Vec<(RegClass, u32)> = Vec::new();
         for inst in lp.insts() {
@@ -476,7 +471,7 @@ mod tests {
     fn emitted_assembly_has_the_right_shape() {
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let a = assign_registers(&lp, &p.schedule, &m).unwrap();
         let asm = emit_kernel(&lp, &p.schedule, &a);
         assert!(asm.contains("L_kernel:"), "{asm}");
@@ -493,7 +488,7 @@ mod tests {
     fn setup_code_contains_loop_counters() {
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let a = assign_registers(&lp, &p.schedule, &m).unwrap();
         let setup = emit_setup(&a, "r14");
         assert!(setup.contains("ar.lc"), "{setup}");
@@ -509,14 +504,8 @@ mod tests {
         // about why rotation makes clustering cheap.
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let base = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
-        let boost = pipeline_loop(
-            &lp,
-            &m,
-            &|_| Some(ltsp_ir::LatencyHint::L3),
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let base = pipelined(&lp, &m, None);
+        let boost = pipelined(&lp, &m, Some(ltsp_ir::LatencyHint::L3));
         let f_base = mve_unroll_factor(&lp, &base.schedule);
         let f_boost = mve_unroll_factor(&lp, &boost.schedule);
         assert!(f_base >= 2);
@@ -540,7 +529,7 @@ mod tests {
             },
         );
         let lp = running_example();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         let err = assign_registers(&lp, &p.schedule, &tight).unwrap_err();
         assert_eq!(err.class, RegClass::Gr);
     }

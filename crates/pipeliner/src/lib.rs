@@ -31,17 +31,12 @@ mod schedule;
 mod scheduler;
 
 pub use bundle::{form_bundles, Bundle, BundleTemplate, BundledKernel};
-pub use criticality::{
-    classify_loads, classify_loads_traced, classify_loads_with, LoadClass, LoadClassification,
-};
+pub use criticality::{classify_loads, LoadClass, LoadClassification};
 pub use emit::{
     assign_registers, emit_kernel, emit_setup, mve_unroll_factor, RegisterAssignment, RotatingRange,
 };
 pub use mrt::Mrt;
-pub use pipeline::{
-    pipeline_loop, pipeline_loop_phased, pipeline_loop_traced, PipelineError, PipelineOptions,
-    PipelineStats, PipelinedLoop,
-};
+pub use pipeline::{pipeline_loop, PipelineError, PipelineOptions, PipelineStats, PipelinedLoop};
 pub use regalloc::{allocate_rotating, RegAllocError, RegAllocation};
 pub use schedule::{KernelSlot, ModuloSchedule};
 pub use scheduler::{acyclic_schedule, ModuloScheduler, ScheduleFailure};

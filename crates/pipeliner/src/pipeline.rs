@@ -7,10 +7,10 @@ use ltsp_ddg::Ddg;
 use ltsp_ir::{InstId, LatencyHint, LoopIr, Opcode};
 use ltsp_machine::{LatencyQuery, MachineModel};
 
-use ltsp_telemetry::phase::{time_opt, Phase, PhaseTimer};
+use ltsp_telemetry::phase::Phase;
 use ltsp_telemetry::{Event, Telemetry};
 
-use crate::criticality::{classify_loads_traced, LoadClass, LoadClassification};
+use crate::criticality::{classify_loads, LoadClass, LoadClassification};
 use crate::regalloc::{allocate_rotating, RegAllocation};
 use crate::schedule::ModuloSchedule;
 use crate::scheduler::{acyclic_schedule, ModuloScheduler};
@@ -123,61 +123,6 @@ fn build_ddg<'a>(
     })
 }
 
-/// Pipelines a loop with latency-tolerant scheduling (paper Sec. 3.3).
-///
-/// `hint_of` supplies the expected-latency hint per load under the active
-/// policy (HLO hints, blanket settings, or none for the baseline).
-///
-/// Procedure:
-/// 1. Resource II and base-latency Recurrence II give Min II.
-/// 2. Criticality analysis decides which loads may be boosted.
-/// 3. Modulo scheduling runs at increasing II; after each successful
-///    schedule, rotating register allocation is attempted.
-/// 4. On allocation failure the boosts are dropped at the same II; if that
-///    also fails the II is escalated with boosts kept off, matching the
-///    paper's ladder ("first reduce the non-critical load latencies …,
-///    then continue to iterate at successively higher IIs").
-///
-/// # Errors
-///
-/// [`PipelineError`] when no schedule within `min_ii + max_ii_slack` (also
-/// capped at the acyclic schedule length) both schedules and allocates.
-///
-/// # Example
-///
-/// ```
-/// use ltsp_ir::{DataClass, LatencyHint, LoopBuilder};
-/// use ltsp_machine::MachineModel;
-/// use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
-///
-/// let mut b = LoopBuilder::new("ex");
-/// let src = b.affine_ref("src", DataClass::Int, 0, 4, 4);
-/// let dst = b.affine_ref("dst", DataClass::Int, 1 << 20, 4, 4);
-/// let c = b.live_in_gr("c");
-/// let v = b.load(src);
-/// let s = b.add(v, c);
-/// b.store(dst, s);
-/// let lp = b.build()?;
-///
-/// let m = MachineModel::itanium2();
-/// // Blanket L3 hints: the load is non-critical, so the II stays at 1
-/// // and latency-buffer stages absorb the scheduled latency (Fig. 4).
-/// let p = pipeline_loop(&lp, &m, &|_| Some(LatencyHint::L3), &PipelineOptions::default())
-///     .expect("pipelines");
-/// assert_eq!(p.schedule.ii(), 1);
-/// assert_eq!(p.stats.boosted_loads, 1);
-/// assert!(p.schedule.stage_count() > 3);
-/// # Ok::<(), ltsp_ir::IrError>(())
-/// ```
-pub fn pipeline_loop(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
-    opts: &PipelineOptions,
-) -> Result<PipelinedLoop, PipelineError> {
-    pipeline_loop_traced(lp, machine, hint_of, opts, &Telemetry::disabled())
-}
-
 fn failure_outcome(f: &crate::scheduler::ScheduleFailure) -> &'static str {
     match f {
         crate::scheduler::ScheduleFailure::InfeasibleIi => "infeasible",
@@ -193,35 +138,71 @@ fn class_name(c: ltsp_ir::RegClass) -> &'static str {
     }
 }
 
-/// [`pipeline_loop`] with the driver's decision trail recorded on a
-/// telemetry sink: per-load criticality verdicts, every scheduling attempt
-/// with its outcome, II escalations, and the register-pressure fallbacks
-/// of the ladder.
-pub fn pipeline_loop_traced(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
-    opts: &PipelineOptions,
-    tel: &Telemetry,
-) -> Result<PipelinedLoop, PipelineError> {
-    pipeline_loop_phased(lp, machine, hint_of, opts, tel, None)
-}
-
-/// [`pipeline_loop_traced`] with optional per-phase wall-clock
-/// attribution: DDG construction and MII analysis (`ddg`), criticality
+/// Pipelines a loop with latency-tolerant scheduling (paper Sec. 3.3).
+///
+/// `hint_of` supplies the expected-latency hint per load under the active
+/// policy (HLO hints, blanket settings, or none for the baseline).
+///
+/// Procedure:
+/// 1. Resource II and base-latency Recurrence II give Min II.
+/// 2. Criticality analysis decides which loads may be boosted.
+/// 3. Modulo scheduling runs at increasing II; after each successful
+///    schedule, rotating register allocation is attempted.
+/// 4. On allocation failure the boosts are dropped at the same II; if that
+///    also fails the II is escalated with boosts kept off, matching the
+///    paper's ladder ("first reduce the non-critical load latencies …,
+///    then continue to iterate at successively higher IIs").
+///
+/// The decision trail is recorded on `tel`: per-load criticality
+/// verdicts, every scheduling attempt with its outcome, II escalations,
+/// and the register-pressure fallbacks of the ladder. A timer attached to
+/// `tel` books DDG construction and MII analysis (`ddg`), criticality
 /// classification and the acyclic profitability ceiling (`mrt`), every
 /// modulo-scheduling attempt across II escalations (`sched`), and
-/// rotating register allocation (`regalloc`). Timing is observational —
-/// results are identical with or without a timer.
-pub fn pipeline_loop_phased(
+/// rotating register allocation (`regalloc`). Observation never changes
+/// the result.
+///
+/// # Errors
+///
+/// [`PipelineError`] when no schedule within `min_ii + max_ii_slack` (also
+/// capped at the acyclic schedule length) both schedules and allocates.
+///
+/// # Example
+///
+/// ```
+/// use ltsp_ir::{DataClass, LatencyHint, LoopBuilder};
+/// use ltsp_machine::MachineModel;
+/// use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
+/// use ltsp_telemetry::Telemetry;
+///
+/// let mut b = LoopBuilder::new("ex");
+/// let src = b.affine_ref("src", DataClass::Int, 0, 4, 4);
+/// let dst = b.affine_ref("dst", DataClass::Int, 1 << 20, 4, 4);
+/// let c = b.live_in_gr("c");
+/// let v = b.load(src);
+/// let s = b.add(v, c);
+/// b.store(dst, s);
+/// let lp = b.build()?;
+///
+/// let m = MachineModel::itanium2();
+/// // Blanket L3 hints: the load is non-critical, so the II stays at 1
+/// // and latency-buffer stages absorb the scheduled latency (Fig. 4).
+/// let opts = PipelineOptions::default();
+/// let p = pipeline_loop(&lp, &m, &|_| Some(LatencyHint::L3), &opts, &Telemetry::disabled())
+///     .expect("pipelines");
+/// assert_eq!(p.schedule.ii(), 1);
+/// assert_eq!(p.stats.boosted_loads, 1);
+/// assert!(p.schedule.stage_count() > 3);
+/// # Ok::<(), ltsp_ir::IrError>(())
+/// ```
+pub fn pipeline_loop(
     lp: &LoopIr,
     machine: &MachineModel,
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     opts: &PipelineOptions,
     tel: &Telemetry,
-    phases: Option<&PhaseTimer>,
 ) -> Result<PipelinedLoop, PipelineError> {
-    let (ddg_base, res_mii, rec_mii, speculated) = time_opt(phases, Phase::Ddg, || {
+    let (ddg_base, res_mii, rec_mii, speculated) = tel.time(Phase::Ddg, || {
         let mut ddg_base = Ddg::build_with_load_floor(lp, machine, 0);
         let res_mii = machine.res_mii(lp);
         let mut rec_mii = ddg_base.rec_mii();
@@ -258,8 +239,8 @@ pub fn pipeline_loop_phased(
     });
     let min_ii = res_mii.max(rec_mii);
 
-    let cls = time_opt(phases, Phase::Mrt, || {
-        classify_loads_traced(
+    let cls = tel.time(Phase::Mrt, || {
+        classify_loads(
             lp,
             machine,
             &ddg_base,
@@ -277,9 +258,7 @@ pub fn pipeline_loop_phased(
 
     // Profitability ceiling: beyond the acyclic schedule length, the global
     // code scheduler does at least as well without pipelining overhead.
-    let acyclic_len = time_opt(phases, Phase::Mrt, || {
-        acyclic_schedule(lp, machine, &ddg_base).ii()
-    });
+    let acyclic_len = tel.time(Phase::Mrt, || acyclic_schedule(lp, machine, &ddg_base).ii());
     let max_ii = (min_ii + opts.max_ii_slack).min(acyclic_len.max(min_ii));
 
     let mut attempts = 0u32;
@@ -296,7 +275,7 @@ pub fn pipeline_loop_phased(
 
     let mut base_phase_start = min_ii;
     if cls.boosted_count() > 0 {
-        let ddg_boosted = time_opt(phases, Phase::Ddg, || {
+        let ddg_boosted = tel.time(Phase::Ddg, || {
             let mut ddg_boosted = build_ddg(lp, machine, |id| cls.query(id));
             if !speculated.is_empty() {
                 let spec = speculated.clone();
@@ -322,7 +301,7 @@ pub fn pipeline_loop_phased(
                 }
             }
             attempts += 1;
-            let sched = match time_opt(phases, Phase::Sched, || {
+            let sched = match tel.time(Phase::Sched, || {
                 scheduler.schedule_at(ii, opts.budget_factor)
             }) {
                 Ok(sched) => {
@@ -350,7 +329,7 @@ pub fn pipeline_loop_phased(
                     // permanently higher II for the boosts — containment says
                     // drop the boosts instead.
                     attempts += 1;
-                    let base_res = time_opt(phases, Phase::Sched, || {
+                    let base_res = tel.time(Phase::Sched, || {
                         base_scheduler.schedule_at(ii, opts.budget_factor)
                     });
                     if tel.is_enabled() {
@@ -376,9 +355,7 @@ pub fn pipeline_loop_phased(
                     continue;
                 }
             };
-            match time_opt(phases, Phase::Regalloc, || {
-                allocate_rotating(lp, &sched, machine)
-            }) {
+            match tel.time(Phase::Regalloc, || allocate_rotating(lp, &sched, machine)) {
                 Ok(regs) => {
                     stats.schedule_attempts = attempts;
                     if tel.is_enabled() {
@@ -430,7 +407,7 @@ pub fn pipeline_loop_phased(
             }
         }
         attempts += 1;
-        let sched = match time_opt(phases, Phase::Sched, || {
+        let sched = match tel.time(Phase::Sched, || {
             scheduler.schedule_at(ii, opts.budget_factor)
         }) {
             Ok(sched) => {
@@ -457,9 +434,7 @@ pub fn pipeline_loop_phased(
                 continue;
             }
         };
-        match time_opt(phases, Phase::Regalloc, || {
-            allocate_rotating(lp, &sched, machine)
-        }) {
+        match tel.time(Phase::Regalloc, || allocate_rotating(lp, &sched, machine)) {
             Ok(regs) => {
                 stats.schedule_attempts = attempts;
                 if tel.is_enabled() {
@@ -501,6 +476,24 @@ pub fn pipeline_loop_phased(
     Err(PipelineError { attempts, min_ii })
 }
 
+/// [`pipeline_loop`] with one hint for every load, default options and
+/// no observation; panics if pipelining is rejected.
+#[cfg(test)]
+pub(crate) fn pipelined(
+    lp: &LoopIr,
+    machine: &MachineModel,
+    hint: Option<LatencyHint>,
+) -> PipelinedLoop {
+    pipeline_loop(
+        lp,
+        machine,
+        &|_| hint,
+        &PipelineOptions::default(),
+        &Telemetry::disabled(),
+    )
+    .expect("pipelines")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,7 +514,7 @@ mod tests {
     fn baseline_pipelines_running_example() {
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         assert_eq!(p.schedule.ii(), 1);
         assert_eq!(p.schedule.stage_count(), 3);
         assert_eq!(p.stats.boosted_loads, 0);
@@ -532,14 +525,8 @@ mod tests {
     fn l3_hint_grows_stages_at_same_ii() {
         let m = MachineModel::itanium2();
         let lp = running_example();
-        let base = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
-        let boosted = pipeline_loop(
-            &lp,
-            &m,
-            &|_| Some(LatencyHint::L3),
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let base = pipelined(&lp, &m, None);
+        let boosted = pipelined(&lp, &m, Some(LatencyHint::L3));
         assert_eq!(base.schedule.ii(), boosted.schedule.ii(), "II unchanged");
         assert!(boosted.schedule.stage_count() > base.schedule.stage_count());
         assert_eq!(boosted.stats.boosted_loads, 1);
@@ -559,13 +546,7 @@ mod tests {
         let fv = b.load(fld);
         let _acc = b.add_reduce(fv);
         let lp = b.build().unwrap();
-        let p = pipeline_loop(
-            &lp,
-            &m,
-            &|_| Some(LatencyHint::L3),
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let p = pipelined(&lp, &m, Some(LatencyHint::L3));
         assert_eq!(p.stats.critical_loads, 1);
         assert_eq!(p.stats.boosted_loads, 1);
         let l3 = LatencyQuery::Hinted(LatencyHint::L3);
@@ -611,13 +592,7 @@ mod tests {
             f: 2,
             b: 1,
         };
-        let p = pipeline_loop(
-            &lp,
-            &tight,
-            &|_| Some(LatencyHint::L3),
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let p = pipelined(&lp, &tight, Some(LatencyHint::L3));
         assert!(p.stats.dropped_boosts, "ladder must drop the boosts");
         assert_eq!(p.stats.boosted_loads, 0);
         assert!(p.stats.schedule_attempts >= 2);
@@ -651,7 +626,7 @@ mod tests {
             },
         );
         let tel = Telemetry::enabled();
-        let p = pipeline_loop_traced(
+        let p = pipeline_loop(
             &lp,
             &tight,
             &|_| Some(LatencyHint::L3),
@@ -695,13 +670,7 @@ mod tests {
         assert!(fallback.2 > fallback.3, "needed must exceed available");
         // The trace is observational: the same compilation with telemetry
         // disabled produces an identical schedule.
-        let silent = pipeline_loop(
-            &lp,
-            &tight,
-            &|_| Some(LatencyHint::L3),
-            &PipelineOptions::default(),
-        )
-        .unwrap();
+        let silent = pipelined(&lp, &tight, Some(LatencyHint::L3));
         assert_eq!(silent.schedule.ii(), p.schedule.ii());
         assert_eq!(silent.stats, p.stats);
     }
@@ -723,7 +692,7 @@ mod tests {
         b.mem_dep(st, ltsp_ir::InstId(0), MemDepKind::Flow, 1);
         let lp = b.build().unwrap();
 
-        let plain = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let plain = pipelined(&lp, &m, None);
         // Cycle: st -> ld (1) + ld data (6) + fma (4) = 11 per iteration.
         assert_eq!(plain.stats.rec_mii, 11);
         assert_eq!(plain.schedule.ii(), 11);
@@ -733,7 +702,7 @@ mod tests {
             data_speculation: true,
             ..PipelineOptions::default()
         };
-        let spec = pipeline_loop(&lp, &m, &|_| None, &spec_opts).unwrap();
+        let spec = pipeline_loop(&lp, &m, &|_| None, &spec_opts, &Telemetry::disabled()).unwrap();
         assert_eq!(spec.stats.speculated_edges, 1);
         assert!(
             spec.schedule.ii() < plain.schedule.ii(),
@@ -755,7 +724,7 @@ mod tests {
             data_speculation: true,
             ..PipelineOptions::default()
         };
-        let p = pipeline_loop(&lp, &m, &|_| None, &opts).unwrap();
+        let p = pipeline_loop(&lp, &m, &|_| None, &opts, &Telemetry::disabled()).unwrap();
         assert_eq!(p.stats.speculated_edges, 0);
     }
 
@@ -767,7 +736,7 @@ mod tests {
         let v = b.load(x);
         let _ = b.fadd_reduce(v);
         let lp = b.build().unwrap();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+        let p = pipelined(&lp, &m, None);
         assert_eq!(p.stats.rec_mii, 4);
         assert_eq!(p.stats.res_mii, 1);
         assert_eq!(p.stats.min_ii, 4);

@@ -8,6 +8,7 @@ use ltsp_machine::{LatencyQuery, MachineModel};
 use ltsp_pipeliner::{
     acyclic_schedule, allocate_rotating, pipeline_loop, ModuloScheduler, PipelineOptions,
 };
+use ltsp_telemetry::Telemetry;
 use ltsp_workloads::random_loop;
 
 fn base_ddg(lp: &ltsp_ir::LoopIr, m: &MachineModel) -> Ddg {
@@ -103,7 +104,7 @@ proptest! {
         let m = MachineModel::itanium2();
         let lp = random_loop(seed);
         let hint = move |_| if hint_l3 { Some(LatencyHint::L3) } else { None };
-        let Ok(p) = pipeline_loop(&lp, &m, &hint, &PipelineOptions::default())
+        let Ok(p) = pipeline_loop(&lp, &m, &hint, &PipelineOptions::default(), &Telemetry::disabled())
         else { return Ok(()); };
         prop_assert!(p.schedule.ii() >= p.stats.min_ii);
         prop_assert!(p.schedule.stage_count() >= 1);

@@ -596,7 +596,7 @@ fn handle_contained(
             }
             panic!("injected handler panic for request {}", req.id);
         }
-        state.engine.handle_phased(req, tel, &phases)
+        state.engine.handle(req, &tel.with_phases(&phases))
     }));
     match result {
         Ok(resp) => {

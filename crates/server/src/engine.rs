@@ -29,7 +29,7 @@ use ltsp_adaptive::{compile_loop_adaptive, AdaptiveOptions};
 use ltsp_cache::persist::CacheLog;
 use ltsp_cache::{CacheConfig, Fingerprint, FingerprintHasher, ShardedLru};
 use ltsp_core::{
-    compile_loop_cached_phased, new_compile_cache, CompileCache, CompileConfig, CompiledLoop,
+    compile_loop_cached, new_compile_cache, CompileCache, CompileConfig, CompiledLoop,
 };
 use ltsp_ir::{parse_loop, LoopIr, ParseError};
 use ltsp_machine::MachineModel;
@@ -580,19 +580,17 @@ impl Engine {
     /// Handles one admitted request. Emits an [`Event::ServerRequest`]
     /// on `tel` and tallies the status. `shutdown` is the daemon's
     /// business and answers `error` here.
+    ///
+    /// Phase time books into `tel`'s timer (the daemon attaches one
+    /// pre-loaded with `queue_wait`/`dispatch`), or into a fresh one when
+    /// `tel` carries none. Records total handler time, feeds the
+    /// per-phase histograms and the flight recorder, and — when the
+    /// request opted in with `"timings":true` — attaches the breakdown to
+    /// the response envelope.
     pub fn handle(&self, req: &Request, tel: &Telemetry) -> Response {
-        let phases = PhaseTimer::new();
-        self.handle_phased(req, tel, &phases)
-    }
-
-    /// [`Engine::handle`] against a caller-owned [`PhaseTimer`] (the
-    /// daemon pre-loads `queue_wait`/`dispatch` before calling). Records
-    /// total handler time, feeds the per-phase histograms and the flight
-    /// recorder, and — when the request opted in with `"timings":true` —
-    /// attaches the breakdown to the response envelope.
-    pub fn handle_phased(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        let t0 = Instant::now();
-        let resp = match req.op {
+        let phases = tel.phases().cloned().unwrap_or_default();
+        let tel = &tel.with_phases(&phases);
+        let resp = tel.time(Phase::Handler, || match req.op {
             ReqOp::Ping => Response {
                 id: req.id.clone(),
                 status: "ok",
@@ -603,16 +601,13 @@ impl Engine {
             ReqOp::Stats => self.stats_response(req),
             ReqOp::Metrics => self.metrics_response(req),
             ReqOp::Shutdown => Response::error(&req.id, "error", "shutdown not admitted here"),
-            ReqOp::Compile | ReqOp::Verify | ReqOp::Oracle => {
-                self.cached_response(req, tel, phases)
-            }
-        };
-        phases.add_us(Phase::Handler, t0.elapsed().as_micros() as u64);
+            ReqOp::Compile | ReqOp::Verify | ReqOp::Oracle => self.cached_response(req, tel),
+        });
         let mut resp = self.finish(req, resp, tel);
         if req.timings {
             resp.timings = Some(phases.to_json_object());
         }
-        self.observe(req, &resp, phases);
+        self.observe(req, &resp, &phases);
         resp
     }
 
@@ -678,7 +673,7 @@ impl Engine {
         Some(h.finish())
     }
 
-    fn cached_response(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
+    fn cached_response(&self, req: &Request, tel: &Telemetry) -> Response {
         let key = self
             .request_key(req)
             .expect("cached_response only serves cacheable ops");
@@ -691,11 +686,11 @@ impl Engine {
             || {
                 let resp = match req.op {
                     ReqOp::Compile => {
-                        let (resp, refine) = self.compile(req, key, tel, phases);
+                        let (resp, refine) = self.compile(req, key, tel);
                         job = refine;
                         resp
                     }
-                    _ => self.verify_or_oracle(req, tel, phases),
+                    _ => self.verify_or_oracle(req, tel),
                 };
                 inner_tag = resp.cache;
                 CachedResult::new(resp.status, resp.body)
@@ -704,7 +699,9 @@ impl Engine {
         if hit {
             // On a miss the probe time is dwarfed by (and attributed to)
             // the compile phases the closure just ran.
-            phases.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
+            if let Some(p) = tel.phases() {
+                p.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
+            }
         } else {
             self.persist_append(key, cached.status, &cached.body);
             // A cold refining compile answered with the heuristic
@@ -829,8 +826,8 @@ impl Engine {
         );
     }
 
-    fn parse(&self, req: &Request, phases: &PhaseTimer) -> Result<LoopIr, Response> {
-        match phases.time(Phase::Parse, || parse_loop(&req.loop_text)) {
+    fn parse(&self, req: &Request, tel: &Telemetry) -> Result<LoopIr, Response> {
+        match tel.time(Phase::Parse, || parse_loop(&req.loop_text)) {
             Ok(lp) => Ok(lp),
             Err(ParseError::Syntax { line, message }) => {
                 let mut body = String::new();
@@ -873,7 +870,6 @@ impl Engine {
         req: &Request,
         raw_key: Fingerprint,
         tel: &Telemetry,
-        phases: &PhaseTimer,
     ) -> (Response, Option<RefineJob>) {
         let shape = (req.backend, req.mode);
         let rung = LADDER.iter().find(|r| (r.backend, r.mode) == shape);
@@ -883,7 +879,7 @@ impl Engine {
             let msg = "mode 'adaptive' requires the heuristic backend";
             return (Response::error(&req.id, "error", msg), None);
         }
-        let inputs = match self.parse(req, phases) {
+        let inputs = match self.parse(req, tel) {
             Ok(lp) => CompileInputs {
                 lp,
                 cfg: compile_config_of(req),
@@ -904,16 +900,15 @@ impl Engine {
             // itself, and the rendered body (kernel dump + JSON escaping,
             // the bulk of the per-hit cost for large kernels) is cached
             // under the rung's body key.
-            let (compiled, artifact_hit) = compile_loop_cached_phased(
+            let (compiled, artifact_hit) = compile_loop_cached(
                 &self.compile_cache,
                 &inputs.lp,
                 &self.machine,
                 &inputs.cfg,
                 inputs.trip,
                 tel,
-                Some(phases),
             );
-            let body = phases.time(Phase::Render, || {
+            let body = tel.time(Phase::Render, || {
                 let mut body = String::new();
                 push_schedule_header(&mut body, &compiled);
                 let report = render_compile_report(&compiled, inputs.cfg.policy, inputs.trip);
@@ -981,8 +976,8 @@ impl Engine {
     /// oracle adds the exact-II proof. Outcomes are cached as rendered
     /// bodies keyed on the canonicalized loop and every knob that can
     /// change the answer.
-    fn verify_or_oracle(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        let lp = match self.parse(req, phases) {
+    fn verify_or_oracle(&self, req: &Request, tel: &Telemetry) -> Response {
+        let lp = match self.parse(req, tel) {
             Ok(lp) => lp,
             Err(resp) => return resp,
         };

@@ -174,7 +174,7 @@ pub fn render_adaptive_report(res: &AdaptiveResult, policy: LatencyPolicy, trip:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltsp_core::{compile_loop_with_profile_traced, CompileConfig};
+    use ltsp_core::{compile_loop_with_profile, CompileConfig};
     use ltsp_machine::MachineModel;
     use ltsp_telemetry::Telemetry;
 
@@ -183,7 +183,7 @@ mod tests {
         let lp = ltsp_workloads::saxpy("s");
         let m = MachineModel::itanium2();
         let cfg = CompileConfig::new(LatencyPolicy::HloHints);
-        let c = compile_loop_with_profile_traced(&lp, &m, &cfg, 100.0, &Telemetry::disabled());
+        let c = compile_loop_with_profile(&lp, &m, &cfg, 100.0);
         let r = render_compile_report(&c, LatencyPolicy::HloHints, 100.0);
         assert!(
             r.starts_with("s: policy=hlo-hints trip-estimate=100 "),

@@ -102,10 +102,14 @@ struct Inner {
 }
 
 /// The telemetry handle: a cheap clone of a shared, thread-safe sink —
-/// or nothing at all when disabled.
+/// or nothing at all when disabled — plus an optional [`PhaseTimer`]
+/// that [`Telemetry::time`] books into. The two are independent: a
+/// disabled handle can still carry a timer, so one handle is the only
+/// observation channel every layer takes.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
+    phases: Option<PhaseTimer>,
 }
 
 /// RAII guard returned by [`Telemetry::span`]; records the span when
@@ -144,7 +148,7 @@ fn us_since(epoch: Instant, t: Instant) -> u64 {
 impl Telemetry {
     /// A disabled handle: every method is a no-op.
     pub fn disabled() -> Self {
-        Telemetry { inner: None }
+        Telemetry::default()
     }
 
     /// An enabled sink.
@@ -161,6 +165,32 @@ impl Telemetry {
                 verbose,
                 state: Mutex::new(State::default()),
             })),
+            phases: None,
+        }
+    }
+
+    /// This handle with `timer` attached: [`Telemetry::time`] books into
+    /// it from here on, through every clone and fork. Attaching a timer
+    /// does not enable event recording.
+    #[must_use]
+    pub fn with_phases(&self, timer: &PhaseTimer) -> Telemetry {
+        Telemetry {
+            inner: self.inner.clone(),
+            phases: Some(timer.clone()),
+        }
+    }
+
+    /// The attached phase timer, if any.
+    pub fn phases(&self) -> Option<&PhaseTimer> {
+        self.phases.as_ref()
+    }
+
+    /// Times `f` into `phase` on the attached timer; without one, just
+    /// runs it. Timing never changes the result.
+    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        match &self.phases {
+            Some(t) => t.time(phase, f),
+            None => f(),
         }
     }
 
@@ -209,13 +239,16 @@ impl Telemetry {
     /// back **in item index order** with [`Telemetry::absorb`], which is
     /// what makes one-thread and N-thread traces identical in content and
     /// order. Forks are never verbose — parallel stderr narration would
-    /// interleave nondeterministically.
+    /// interleave nondeterministically. A fork keeps the attached phase
+    /// timer, so parallel items book into the parent's phases.
     pub fn fork(&self) -> Telemetry {
-        if self.is_enabled() {
+        let mut fork = if self.is_enabled() {
             Telemetry::enabled()
         } else {
             Telemetry::disabled()
-        }
+        };
+        fork.phases = self.phases.clone();
+        fork
     }
 
     /// Splices a forked child sink into this one: events and spans are
@@ -560,6 +593,23 @@ mod tests {
             evs[1].get("args").unwrap().get("message").unwrap().as_str(),
             Some("x")
         );
+    }
+
+    #[test]
+    fn attached_timer_books_phases_without_enabling() {
+        let t = PhaseTimer::new();
+        let tel = Telemetry::disabled().with_phases(&t);
+        assert!(!tel.is_enabled() && tel.phases().is_some());
+        assert_eq!(tel.time(Phase::Hlo, || 3), 3);
+        tel.info("dropped");
+        assert!(tel.events().is_empty());
+        let fork = tel.fork();
+        assert!(!fork.is_enabled());
+        fork.phases()
+            .expect("forks keep the timer")
+            .add_us(Phase::Sched, 5);
+        assert_eq!(t.get_us(Phase::Sched), 5, "one shared timer");
+        assert_eq!(Telemetry::disabled().time(Phase::Hlo, || 4), 4);
     }
 
     #[test]

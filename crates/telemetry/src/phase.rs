@@ -1,11 +1,12 @@
 //! Request-scoped phase timing.
 //!
-//! A [`PhaseTimer`] is a fixed array of atomic microsecond accumulators,
+//! A [`PhaseTimer`] is a shared array of atomic nanosecond accumulators,
 //! one per [`Phase`] — the compile pipeline's stages plus the daemon's
-//! request-lifecycle segments. It is independent of [`crate::Telemetry`]
-//! enablement (a served request always has one), `Sync` so the daemon
-//! and the compile path can feed the same timer, and purely observational:
-//! timing a closure changes nothing about its result.
+//! request-lifecycle segments. It rides on a [`crate::Telemetry`] handle
+//! whether or not that records events (a served request always has one),
+//! is `Sync` so the daemon and the compile path can feed the same timer,
+//! and is purely observational: timing a closure changes nothing about
+//! its result. Reads are in µs; sub-µs samples still add up.
 //!
 //! Determinism contract: phase *durations* are wall-clock and therefore
 //! nondeterministic, so they never appear in any byte-compared artifact
@@ -16,11 +17,13 @@
 //! artifacts compare byte-identical across runs and `--jobs` levels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One timed segment of a request's life. The first seven are compiler
 /// phases (recorded inside the compile path), the rest are server-side
-/// lifecycle segments (recorded by the daemon and engine).
+/// lifecycle segments (recorded by the daemon and engine). Declaration
+/// order is each phase's accumulator index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Loop-language parsing (engine-side request body → `Loop`).
@@ -89,29 +92,13 @@ impl Phase {
             Phase::Write => "write",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::Hlo => 1,
-            Phase::Ddg => 2,
-            Phase::Mrt => 3,
-            Phase::Sched => 4,
-            Phase::Regalloc => 5,
-            Phase::Render => 6,
-            Phase::QueueWait => 7,
-            Phase::CacheLookup => 8,
-            Phase::Dispatch => 9,
-            Phase::Handler => 10,
-            Phase::Write => 11,
-        }
-    }
 }
 
-/// Per-request phase accumulators, in microseconds.
-#[derive(Debug, Default)]
+/// Per-request phase accumulators. A cheap-clone handle: clones share
+/// one set of accumulators.
+#[derive(Debug, Clone, Default)]
 pub struct PhaseTimer {
-    us: [AtomicU64; ALL_PHASES.len()],
+    ns: Arc<[AtomicU64; ALL_PHASES.len()]>,
 }
 
 impl PhaseTimer {
@@ -123,20 +110,25 @@ impl PhaseTimer {
     /// Adds `us` microseconds to a phase (phases hit repeatedly — e.g.
     /// `sched` across II escalation retries — accumulate).
     pub fn add_us(&self, phase: Phase, us: u64) {
-        self.us[phase.index()].fetch_add(us, Ordering::Relaxed);
+        self.add_ns(phase, us.saturating_mul(1_000));
+    }
+
+    fn add_ns(&self, phase: Phase, ns: u64) {
+        self.ns[phase as usize].fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Times a closure into a phase and returns its result.
     pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let out = f();
-        self.add_us(phase, t0.elapsed().as_micros() as u64);
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.add_ns(phase, ns);
         out
     }
 
     /// A phase's accumulated microseconds.
     pub fn get_us(&self, phase: Phase) -> u64 {
-        self.us[phase.index()].load(Ordering::Relaxed)
+        self.ns[phase as usize].load(Ordering::Relaxed) / 1_000
     }
 
     /// All `(phase, us)` pairs in declaration order, zeros included.
@@ -160,16 +152,6 @@ impl PhaseTimer {
     }
 }
 
-/// Times `f` into `phase` when a timer is present; otherwise just runs
-/// it. The compile path threads `Option<&PhaseTimer>` so un-instrumented
-/// callers pay only this branch.
-pub fn time_opt<R>(phases: Option<&PhaseTimer>, phase: Phase, f: impl FnOnce() -> R) -> R {
-    match phases {
-        Some(t) => t.time(phase, f),
-        None => f(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +167,7 @@ mod tests {
         assert_eq!(snap.len(), ALL_PHASES.len());
         assert_eq!(snap[0], (Phase::Parse, 1));
         assert_eq!(snap[4], (Phase::Sched, 12));
+        assert!(ALL_PHASES.iter().enumerate().all(|(i, &p)| p as usize == i));
     }
 
     #[test]
@@ -208,9 +191,17 @@ mod tests {
     }
 
     #[test]
-    fn time_opt_is_transparent() {
+    fn sub_microsecond_samples_add_up() {
+        // Ten ~600 ns samples must book ~6 µs, not ten truncated zeros.
         let t = PhaseTimer::new();
-        assert_eq!(time_opt(Some(&t), Phase::Hlo, || 3), 3);
-        assert_eq!(time_opt(None, Phase::Hlo, || 4), 4);
+        for _ in 0..10 {
+            t.time(Phase::Sched, || {
+                let t0 = Instant::now();
+                while t0.elapsed().as_nanos() < 600 {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        assert!(t.get_us(Phase::Sched) >= 5, "{}", t.get_us(Phase::Sched));
     }
 }

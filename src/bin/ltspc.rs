@@ -124,7 +124,7 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use ltsp::core::{compile_loop_with_profile_traced, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile_phased, CompileConfig, LatencyPolicy};
 use ltsp::ir::parse_loop;
 use ltsp::machine::MachineModel;
 use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
@@ -1477,7 +1477,7 @@ fn main() -> ExitCode {
     } else {
         Telemetry::disabled()
     };
-    let compiled = compile_loop_with_profile_traced(&lp, &machine, &cfg, o.trip, &tel);
+    let compiled = compile_loop_with_profile_phased(&lp, &machine, &cfg, o.trip, &tel, None);
 
     // The canonical report — the exact same renderer backs `ltspd`'s
     // compile responses, so remote and local output are byte-identical.

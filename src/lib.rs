@@ -36,7 +36,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use ltsp::core::{compile_loop, CompileConfig, LatencyPolicy};
+//! use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
 //! use ltsp::ir::{DataClass, LoopBuilder};
 //! use ltsp::machine::MachineModel;
 //!
@@ -51,7 +51,7 @@
 //!
 //! let machine = MachineModel::itanium2();
 //! let cfg = CompileConfig::new(LatencyPolicy::HloHints);
-//! let compiled = compile_loop(&lp, &machine, &cfg);
+//! let compiled = compile_loop_with_profile(&lp, &machine, &cfg, 100.0);
 //! assert!(compiled.kernel.ii() >= 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

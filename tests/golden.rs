@@ -11,10 +11,9 @@
 //! LTSP_BLESS=1 cargo test --test golden
 //! ```
 
-use ltsp::core::{compile_loop_with_profile_traced, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
 use ltsp::machine::MachineModel;
 use ltsp::pipeliner::{assign_registers, emit_kernel};
-use ltsp::telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -53,8 +52,7 @@ fn corpus() -> Vec<(String, ltsp::ir::LoopIr)> {
 /// artifact a compiler engineer would diff after a scheduler change.
 fn snapshot(lp: &ltsp::ir::LoopIr, machine: &MachineModel, policy: LatencyPolicy) -> String {
     let cfg = CompileConfig::new(policy);
-    let compiled =
-        compile_loop_with_profile_traced(lp, machine, &cfg, TRIP, &Telemetry::disabled());
+    let compiled = compile_loop_with_profile(lp, machine, &cfg, TRIP);
     let mut s = String::new();
     let _ = writeln!(s, "loop: {}", lp.name());
     let _ = writeln!(s, "policy: {policy}");

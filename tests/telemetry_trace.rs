@@ -138,10 +138,14 @@ fn ltspc_emits_parseable_decision_trace_and_metrics() {
 
 #[test]
 fn disabled_telemetry_is_bit_identical() {
-    use ltsp::core::{CompileConfig, LatencyPolicy, RunConfig};
+    use ltsp::core::{
+        compile_loop_with_profile, compile_loop_with_profile_phased, CompileConfig, LatencyPolicy,
+        RunConfig,
+    };
     use ltsp::machine::MachineModel;
-    use ltsp::telemetry::Telemetry;
-    use ltsp::workloads::find_benchmark;
+    use ltsp::server::render_compile_report;
+    use ltsp::telemetry::{Phase, PhaseTimer, Telemetry};
+    use ltsp::workloads::{find_benchmark, kernel_library};
 
     let m = MachineModel::itanium2();
     let bench = find_benchmark("429.mcf").unwrap();
@@ -166,5 +170,33 @@ fn disabled_telemetry_is_bit_identical() {
         metrics.counter("sim.cycles.total"),
         on.counters().total,
         "exported totals match the harness counters"
+    );
+
+    // One compile layer, observed three ways — not at all, through an
+    // enabled handle carrying a timer, through a disabled handle carrying
+    // one — must render the same report bytes.
+    let timer = PhaseTimer::new();
+    let observed = [Telemetry::enabled(), Telemetry::disabled()];
+    for policy in [
+        LatencyPolicy::Baseline,
+        LatencyPolicy::AllLoadsL3,
+        LatencyPolicy::AllFpLoadsL2,
+        LatencyPolicy::HloHints,
+    ] {
+        let cfg = CompileConfig::new(policy);
+        for (name, lp) in kernel_library() {
+            let plain = compile_loop_with_profile(&lp, &m, &cfg, 100.0);
+            let plain = render_compile_report(&plain, policy, 100.0);
+            for tel in &observed {
+                let c = compile_loop_with_profile_phased(&lp, &m, &cfg, 100.0, tel, Some(&timer));
+                let report = render_compile_report(&c, policy, 100.0);
+                assert_eq!(plain, report, "{name} {policy}");
+            }
+        }
+    }
+    assert!(!observed[0].events().is_empty() && observed[1].events().is_empty());
+    assert!(
+        timer.get_us(Phase::Sched) > 0,
+        "the attached timer booked phases"
     );
 }

@@ -27,12 +27,12 @@
 //! and a serial per-loop refinement loop, so round-by-round traces are
 //! byte-identical at any `--jobs` level.
 
-use ltsp_core::{CompileConfig, CompiledLoop};
+use ltsp_core::{CompileConfig, CompiledLoop, SteadyState};
 use ltsp_ddg::Ddg;
 use ltsp_hlo::{ObservedHint, ObservedOverlay, ObservedVerdict};
 use ltsp_ir::{LatencyHint, LoopIr};
 use ltsp_machine::MachineModel;
-use ltsp_memsim::{Executor, ExecutorConfig, RefObservation, StreamMode};
+use ltsp_memsim::{ExecutorConfig, RefObservation, StreamMode};
 use ltsp_oracle::validate_schedule;
 use ltsp_telemetry::{Event, Telemetry};
 
@@ -139,10 +139,9 @@ impl AdaptiveResult {
 }
 
 /// Classifies one reference's steady-state observation into a verdict:
-/// references whose mean demand latency reaches the L3 service range get
-/// an L3 hint, the L2 range an L2 hint, and near-L1 references are
-/// `Fast` (suppressing any static hint). The floors match
-/// [`ltsp_core::sample_miss_hints`], the paper's miss-sampling outlook.
+/// the reference's [`ltsp_core::service_level`] (the rule the paper's
+/// miss-sampling outlook also uses) becomes a `Level` hint, and near-L1
+/// references are `Fast` (suppressing any static hint).
 ///
 /// The prefetch-drop side: a reference whose prefetches overwhelmingly
 /// (≥ 3 in 4) found their line already resident *at the prefetch's own
@@ -154,15 +153,12 @@ impl AdaptiveResult {
 /// drop *persists* across rounds is decided by [`compile_loop_adaptive`],
 /// which compares the post-drop service level against the pre-drop one
 /// and permanently revokes any drop that made its reference slower.
-fn classify(obs: &RefObservation, l2_floor: f64, l3_floor: f64) -> Option<ObservedVerdict> {
+fn classify(obs: &RefObservation, machine: &MachineModel) -> Option<ObservedVerdict> {
     if obs.accesses == 0 && obs.prefetches == 0 {
         return None;
     }
-    let hint = match obs.avg_latency() {
-        Some(avg) if avg >= l3_floor => ObservedHint::Level(LatencyHint::L3),
-        Some(avg) if avg >= l2_floor => ObservedHint::Level(LatencyHint::L2),
-        _ => ObservedHint::Fast,
-    };
+    let hint =
+        ltsp_core::service_level(obs, machine).map_or(ObservedHint::Fast, ObservedHint::Level);
     let drop_prefetch = obs.prefetches > 0 && obs.redundant_prefetches * 4 >= obs.prefetches * 3;
     Some(ObservedVerdict {
         hint,
@@ -224,76 +220,22 @@ fn refine_overlay(
     ObservedOverlay::new(verdicts)
 }
 
-/// One steady-state simulation measurement of a compiled loop under the
-/// adaptive options' fixed window.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Per-reference observed verdicts (indexed by memref id of the
-    /// pre-HLO loop).
-    pub verdicts: Vec<Option<ObservedVerdict>>,
-    /// Stall cycles over the measurement window.
-    pub stall_cycles: u64,
-    /// Total cycles over the measurement window.
-    pub total_cycles: u64,
-}
-
 /// Simulates a compiled loop for the deterministic warmup + measurement
-/// window of `opts` and returns the steady-state measurement — the same
+/// window of `opts` and returns the steady-state window — the same
 /// procedure every adaptive round uses, exposed so experiment arms can
 /// measure non-adaptive policies identically.
 pub fn measure_compiled(
     compiled: &CompiledLoop,
     machine: &MachineModel,
     opts: &AdaptiveOptions,
-) -> Measurement {
-    let original_refs = compiled.lp.memrefs().len();
-    simulate_round(original_refs, compiled, machine, opts)
-}
-
-/// Simulates one round's schedule and returns the steady-state
-/// measurement of verdicts (for the original loop's `original_refs`
-/// references), stall cycles and total cycles.
-fn simulate_round(
-    original_refs: usize,
-    compiled: &CompiledLoop,
-    machine: &MachineModel,
-    opts: &AdaptiveOptions,
-) -> Measurement {
-    let mut ex = Executor::new(
-        &compiled.lp,
-        &compiled.kernel,
-        machine,
-        compiled.regs_total,
-        ExecutorConfig {
-            seed: opts.seed,
-            stream_mode: opts.stream_mode,
-            ..ExecutorConfig::default()
-        },
-    );
-    // Warm the caches, then measure steady state only — like a sampling
-    // profiler, whose samples are dominated by the steady state.
-    for _ in 0..opts.warmup_entries.max(1) {
-        ex.run_entry(opts.trip.max(1));
-    }
-    ex.reset_ref_stats();
-    let warm = *ex.counters();
-    for _ in 0..opts.measure_entries.max(1) {
-        ex.run_entry(opts.trip.max(1));
-    }
-    let c = *ex.counters();
-    let l2_floor = f64::from(machine.caches().l2.best_latency) - 1.0;
-    let l3_floor = f64::from(machine.caches().l3.best_latency) + 2.0;
-    let verdicts = ex
-        .observations()
-        .iter()
-        .take(original_refs) // ignore HLO-added refs, none today
-        .map(|obs| classify(obs, l2_floor, l3_floor))
-        .collect();
-    Measurement {
-        verdicts,
-        stall_cycles: c.stall_cycles() - warm.stall_cycles(),
-        total_cycles: c.total - warm.total,
-    }
+) -> SteadyState {
+    let exec = ExecutorConfig {
+        seed: opts.seed,
+        stream_mode: opts.stream_mode,
+        ..ExecutorConfig::default()
+    };
+    let (trip, warmup, measure) = (opts.trip, opts.warmup_entries, opts.measure_entries);
+    ltsp_core::steady_state(compiled, machine, exec, trip, warmup, measure)
 }
 
 /// Runs the full adaptive refinement loop on one loop.
@@ -346,9 +288,15 @@ pub fn compile_loop_adaptive(
         let ddg = Ddg::build_with_load_floor(&compiled.lp, machine, 0);
         let certified = validate_schedule(&compiled.lp, &ddg, &compiled.kernel, machine).is_ok();
 
-        let mea = simulate_round(original_refs, &compiled, machine, opts);
-        let (stall_cycles, total_cycles) = (mea.stall_cycles, mea.total_cycles);
-        let next = refine_overlay(mea.verdicts, &overlay, &mut banned);
+        let window = measure_compiled(&compiled, machine, opts);
+        let (stall_cycles, total_cycles) = (window.stall_cycles, window.total_cycles);
+        let verdicts = window
+            .observations
+            .iter()
+            .take(original_refs) // ignore HLO-added refs, none today
+            .map(|obs| classify(obs, machine))
+            .collect();
+        let next = refine_overlay(verdicts, &overlay, &mut banned);
         let hint_deltas = next.delta(&overlay);
 
         if tel.is_enabled() {

@@ -14,26 +14,20 @@
 use ltsp_telemetry::json::{self, JsonValue};
 use ltsp_telemetry::Histogram;
 
-/// Every experiment `reproduce` can run, in report order. Merged records
-/// list experiments in this order regardless of which rerun refreshed
-/// them.
-pub const CANONICAL_EXPERIMENTS: [&str; 15] = [
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "mcf",
-    "regstats",
-    "compiletime",
-    "noprefetch",
-    "versioning",
-    "sampling",
-    "balanced",
-    "oracle",
-    "adaptive",
-    "ablations",
-];
+use crate::catalog::EXPERIMENTS;
+
+/// The names of every experiment `reproduce` can run, in report order
+/// (the name column of [`EXPERIMENTS`]). Merged records list experiments
+/// in this order regardless of which rerun refreshed them.
+pub const CANONICAL_EXPERIMENTS: [&str; EXPERIMENTS.len()] = {
+    let mut names = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    names
+};
 
 /// Per-experiment wall timings carried over from an existing record.
 fn existing_timings(existing: &str) -> Vec<(String, f64)> {

@@ -9,7 +9,9 @@
 //! ```
 //!
 //! `--adaptive` is an alias for the `adaptive` experiment (the E-adaptive
-//! feedback-directed-hints table).
+//! feedback-directed-hints table). An unknown experiment name or flag, or
+//! a flag missing its value, prints this usage on stderr and exits 2
+//! without running anything or writing a record.
 //!
 //! The `--bench-out` record also carries a `"phases"` block: the kernel
 //! library is compiled once per policy with a phase timer attached, and
@@ -36,12 +38,7 @@
 //! timings, and `total_wall_ms` is the sum of the merged per-experiment
 //! walls (see `ltsp_bench::bench_record`).
 
-use ltsp_bench::{
-    adaptive_gap, balanced_recurrence_experiment, boost_magnitude_ablation, compile_time, fig10,
-    fig5, fig7, fig8, fig9, issue_width_ablation, mcf_case_study, merged_bench_json,
-    miss_sampling_experiment, mve_code_size_ablation, no_prefetch_headroom, oracle_gap,
-    ozq_capacity_ablation, regstats, versioning_experiment,
-};
+use ltsp_bench::{merged_bench_json, Experiment, ExperimentCtx, EXPERIMENTS};
 use ltsp_machine::MachineModel;
 use ltsp_telemetry::phase::{PhaseTimer, ALL_PHASES};
 use ltsp_telemetry::{Histogram, Telemetry};
@@ -111,6 +108,25 @@ fn compile_phase_kpis(machine: &MachineModel) -> Vec<(&'static str, Histogram)> 
     hists
 }
 
+/// The value following `flag`, or a usage error when it is missing.
+fn value(it: &mut std::slice::Iter<String>, flag: &str) -> String {
+    it.next()
+        .cloned()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
+}
+
+/// Prints the usage line on stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("reproduce: {problem}");
+    eprintln!(
+        "usage: reproduce [all|{}] [--scale X] [--jobs N] [--csv] [--trace-out FILE] \
+         [--metrics-out FILE] [--bench-out FILE] [--no-bench] [-v]",
+        names.join("|")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which = "all".to_string();
@@ -126,26 +142,32 @@ fn main() {
         match a.as_str() {
             "--csv" => csv = true,
             "--scale" => {
-                scale = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--scale requires a number");
-                    std::process::exit(2);
-                });
+                scale = value(&mut it, "--scale")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--scale requires a number"));
             }
             "--jobs" => {
-                let v = it.next().cloned().unwrap_or_default();
-                jobs = ltsp_par::parse_jobs(&v).unwrap_or_else(|e| {
+                jobs = ltsp_par::parse_jobs(&value(&mut it, "--jobs")).unwrap_or_else(|e| {
                     eprintln!("reproduce: {e}");
                     std::process::exit(2);
                 });
             }
-            "--trace-out" => trace_out = it.next().cloned(),
-            "--metrics-out" => metrics_out = it.next().cloned(),
-            "--bench-out" => bench_out = it.next().cloned(),
+            "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")),
+            "--metrics-out" => metrics_out = Some(value(&mut it, "--metrics-out")),
+            "--bench-out" => bench_out = Some(value(&mut it, "--bench-out")),
             "--no-bench" => bench_out = None,
             "-v" | "--verbose" => verbose = true,
             "--adaptive" => which = "adaptive".to_string(),
-            other => which = other.to_string(),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+            name => which = name.to_string(),
         }
+    }
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || *name == which)
+        .collect();
+    if selected.is_empty() {
+        usage_error(&format!("unknown experiment {which}"));
     }
     // Experiments construct their own RunConfigs; route the worker count
     // through the process-wide default they pick up.
@@ -157,122 +179,27 @@ fn main() {
         Telemetry::disabled()
     };
     let machine = MachineModel::itanium2();
-    let run_all = which == "all";
-    let table = |e: &ltsp_bench::GainExperiment| if csv { e.to_csv() } else { e.render() };
-    // Each artifact runs under a span so `-v` narrates progress with
-    // wall-clock timing and `--trace-out` records the run's timeline.
-    let ran = |name: &str| tel.info(format!("reproducing {name} (scale {scale}, jobs {jobs})"));
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    let timed = |timings: &mut Vec<(String, f64)>, name: &str, f: &mut dyn FnMut()| {
-        ran(name);
-        let t0 = Instant::now();
-        f();
-        timings.push((name.to_string(), t0.elapsed().as_secs_f64() * 1e3));
+    let ctx = ExperimentCtx {
+        machine: &machine,
+        scale,
+        jobs,
+        csv,
+        tel: &tel,
     };
+    let mut timings: Vec<(String, f64)> = Vec::new();
     let t_run = Instant::now();
-
-    if run_all || which == "fig5" {
-        timed(&mut timings, "fig5", &mut || {
-            let _s = tel.span("experiment:fig5");
-            emit(&fig5().render());
-        });
-    }
-    if run_all || which == "fig7" {
-        timed(&mut timings, "fig7", &mut || {
-            let _s = tel.span("experiment:fig7");
-            let (f06, f00) = fig7(&machine, scale);
-            emit(&table(&f06));
-            emit(&table(&f00));
-        });
-    }
-    if run_all || which == "fig8" {
-        timed(&mut timings, "fig8", &mut || {
-            let _s = tel.span("experiment:fig8");
-            let (f06, f00) = fig8(&machine, scale);
-            emit(&table(&f06));
-            emit(&table(&f00));
-        });
-    }
-    if run_all || which == "fig9" {
-        timed(&mut timings, "fig9", &mut || {
-            let _s = tel.span("experiment:fig9");
-            emit(&table(&fig9(&machine, scale)));
-        });
-    }
-    if run_all || which == "fig10" {
-        timed(&mut timings, "fig10", &mut || {
-            let _s = tel.span("experiment:fig10");
-            emit(&fig10(&machine, scale).render());
-        });
-    }
-    if run_all || which == "mcf" {
-        timed(&mut timings, "mcf", &mut || {
-            let _s = tel.span("experiment:mcf");
-            let entries = ((900.0 * scale) as u32).max(50);
-            emit(&mcf_case_study(&machine, entries).render());
-        });
-    }
-    if run_all || which == "regstats" {
-        timed(&mut timings, "regstats", &mut || {
-            let _s = tel.span("experiment:regstats");
-            emit(&regstats(&machine, scale).render());
-        });
-    }
-    if run_all || which == "compiletime" {
-        timed(&mut timings, "compiletime", &mut || {
-            let _s = tel.span("experiment:compiletime");
-            emit(&compile_time(&machine, scale).render());
-        });
-    }
-    if run_all || which == "noprefetch" {
-        timed(&mut timings, "noprefetch", &mut || {
-            let _s = tel.span("experiment:noprefetch");
-            emit(&table(&no_prefetch_headroom(&machine, scale)));
-        });
-    }
-    if run_all || which == "versioning" {
-        timed(&mut timings, "versioning", &mut || {
-            let _s = tel.span("experiment:versioning");
-            emit(&table(&versioning_experiment(&machine, scale)));
-        });
-    }
-    if run_all || which == "sampling" {
-        timed(&mut timings, "sampling", &mut || {
-            let _s = tel.span("experiment:sampling");
-            emit(&table(&miss_sampling_experiment(&machine, scale)));
-        });
-    }
-    if run_all || which == "balanced" {
-        timed(&mut timings, "balanced", &mut || {
-            let _s = tel.span("experiment:balanced");
-            let entries = ((800.0 * scale) as u32).max(100);
-            emit(&balanced_recurrence_experiment(&machine, entries).render());
-        });
-    }
-    if run_all || which == "oracle" {
-        timed(&mut timings, "oracle", &mut || {
-            let _s = tel.span("experiment:oracle");
-            emit(&oracle_gap(&machine, &tel, jobs).render());
-        });
-    }
-    if run_all || which == "adaptive" {
-        timed(&mut timings, "adaptive", &mut || {
-            let _s = tel.span("experiment:adaptive");
-            emit(&adaptive_gap(&machine, &tel, jobs).render());
-        });
-    }
-    if run_all || which == "ablations" {
-        timed(&mut timings, "ablations", &mut || {
-            let _s = tel.span("experiment:ablations");
-            emit(&ozq_capacity_ablation(&machine).render());
-            let (missing, warm) = boost_magnitude_ablation(&machine);
-            emit(&missing.render());
-            emit(&warm.render());
-            emit(&mve_code_size_ablation(&machine).render());
-            let (width_gain, width_k) = issue_width_ablation();
-            emit(&width_gain.render());
-            emit(&width_k.render());
-        });
+    for (name, run) in selected {
+        // Each experiment runs under a span so `-v` narrates progress with
+        // wall-clock timing and `--trace-out` records the run's timeline.
+        tel.info(format!("reproducing {name} (scale {scale}, jobs {jobs})"));
+        let t0 = Instant::now();
+        {
+            let _s = tel.span(format!("experiment:{name}"));
+            for block in run(&ctx) {
+                emit(&block);
+            }
+        }
+        timings.push((name.to_string(), t0.elapsed().as_secs_f64() * 1e3));
     }
     tel.info(format!(
         "reproduce: {} experiment(s) in {:.1} ms",

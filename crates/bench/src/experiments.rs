@@ -67,13 +67,7 @@ impl GainExperiment {
     }
 }
 
-fn gains_for(
-    benchs: &[Benchmark],
-    machine: &MachineModel,
-    base: &SuiteRun,
-    var: &SuiteRun,
-) -> Vec<f64> {
-    let _ = machine;
+fn gains_for(benchs: &[Benchmark], base: &SuiteRun, var: &SuiteRun) -> Vec<f64> {
     benchs
         .iter()
         .zip(base.runs.iter().zip(&var.runs))
@@ -96,7 +90,7 @@ fn run_arms(
     for (label, cfg) in arms {
         let rc = RunConfig::new(cfg).with_entry_scale(scale);
         let var = run_suite(benchs, machine, &rc);
-        columns.push(gains_for(benchs, machine, &base, &var));
+        columns.push(gains_for(benchs, &base, &var));
         labels.push(label);
     }
     let rows = benchs
@@ -228,7 +222,7 @@ pub fn no_prefetch_headroom(machine: &MachineModel, scale: f64) -> GainExperimen
     )
     .with_entry_scale(scale);
     let var = run_suite(&benchs, machine, &var_rc);
-    let gains = gains_for(&benchs, machine, &base, &var);
+    let gains = gains_for(&benchs, &base, &var);
     GainExperiment {
         title: "Sec. 4.2 — headroom (n=32, PGO) with prefetching disabled".to_string(),
         arms: vec!["no-prefetch".to_string()],

@@ -5,11 +5,12 @@
 
 use ltsp_core::{
     benchmark_gain, compile_loop_with_profile, run_suite, run_suite_sampled, run_suite_versioned,
-    CompileConfig, LatencyPolicy, RunConfig,
+    simulate, CompileConfig, LatencyPolicy, RunConfig,
 };
 use ltsp_ir::DataClass;
 use ltsp_machine::{CacheGeometry, MachineModel};
-use ltsp_memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp_memsim::{ExecutorConfig, StreamMode};
+use ltsp_telemetry::Telemetry;
 use ltsp_workloads::{cpu2000, cpu2006, gather_update, mcf_refresh, stream_sum};
 
 use crate::experiments::GainExperiment;
@@ -91,7 +92,6 @@ pub fn miss_sampling_experiment(machine: &MachineModel, scale: f64) -> GainExper
         machine,
         &RunConfig::new(CompileConfig::new(LatencyPolicy::MissSampled).with_pgo(false))
             .with_entry_scale(scale),
-        20,
     );
 
     let rows = benchs
@@ -158,22 +158,11 @@ pub fn balanced_recurrence_experiment(machine: &MachineModel, entries: u32) -> B
     let bal = compile_loop_with_profile(&lp, machine, &bal_cfg, trips.mean());
 
     let chase = InstId(0);
+    let tel = Telemetry::disabled();
     let run = |c: &ltsp_core::CompiledLoop| {
-        let mut ex = Executor::new(
-            &c.lp,
-            &c.kernel,
-            machine,
-            c.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
-        );
         let mut rng = SplitMix64::new(0xBA1A);
-        for _ in 0..entries {
-            ex.run_entry(trips.sample(&mut rng));
-        }
-        ex.counters().total
+        let schedule = (0..entries).map(|_| (0, trips.sample(&mut rng)));
+        simulate(c.lp.name(), &[c], machine, progressive(), schedule, &tel).total
     };
     let tb = run(&base);
     let tp = run(&plain);
@@ -216,23 +205,29 @@ impl AblationSeries {
     }
 }
 
-fn loop_gain(machine: &MachineModel, lp: &ltsp_ir::LoopIr, trip: u64, entries: u32) -> f64 {
+/// Default executor settings with progressive address streams.
+fn progressive() -> ExecutorConfig {
+    ExecutorConfig {
+        stream_mode: StreamMode::Progressive,
+        ..ExecutorConfig::default()
+    }
+}
+
+/// Loop speedup (percent) of the unthresholded all-loads-L3 kernel over
+/// the baseline kernel, both run for `entries` entries of `trip`
+/// iterations under `exec`.
+fn loop_gain(
+    machine: &MachineModel,
+    lp: &ltsp_ir::LoopIr,
+    trip: u64,
+    entries: u32,
+    exec: ExecutorConfig,
+) -> f64 {
+    let tel = Telemetry::disabled();
     let run = |cfg: &CompileConfig| {
         let c = compile_loop_with_profile(lp, machine, cfg, trip as f64);
-        let mut ex = Executor::new(
-            &c.lp,
-            &c.kernel,
-            machine,
-            c.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
-        );
-        for _ in 0..entries {
-            ex.run_entry(trip);
-        }
-        ex.counters().total
+        let schedule = (0..entries).map(|_| (0, trip));
+        simulate(c.lp.name(), &[&c], machine, exec, schedule, &tel).total
     };
     let tb = run(&CompileConfig::new(LatencyPolicy::Baseline));
     let tx = run(&CompileConfig::new(LatencyPolicy::AllLoadsL3).with_threshold(0));
@@ -256,7 +251,7 @@ pub fn ozq_capacity_ablation(base_machine: &MachineModel) -> AblationSeries {
                 caches,
                 *base_machine.registers(),
             );
-            (cap, loop_gain(&machine, &lp, 600, 4))
+            (cap, loop_gain(&machine, &lp, 600, 4, progressive()))
         })
         .collect();
     AblationSeries {
@@ -283,7 +278,7 @@ pub fn issue_width_ablation() -> (AblationSeries, AblationSeries) {
     let mut gains = Vec::new();
     let mut ks = Vec::new();
     for (width, machine) in machines {
-        gains.push((width, loop_gain(&machine, &lp, 600, 4)));
+        gains.push((width, loop_gain(&machine, &lp, 600, 4, progressive())));
         let boosted = compile_loop_with_profile(
             &lp,
             &machine,
@@ -316,7 +311,6 @@ pub fn issue_width_ablation() -> (AblationSeries, AblationSeries) {
 /// resulting code size in instructions, as the scheduled latency grows.
 pub fn mve_code_size_ablation(base_machine: &MachineModel) -> AblationSeries {
     use ltsp_pipeliner::{mve_unroll_factor, pipeline_loop, PipelineOptions};
-    use ltsp_telemetry::Telemetry;
     let lp = stream_sum("mve-ablation", DataClass::Int, 256);
     let points = [1u32, 6, 11, 21, 31]
         .into_iter()
@@ -364,26 +358,11 @@ pub fn boost_magnitude_ablation(base_machine: &MachineModel) -> (AblationSeries,
                     caches,
                     *base_machine.registers(),
                 );
-                let run = |cfg: &CompileConfig| {
-                    let c = compile_loop_with_profile(lp, &machine, cfg, trip as f64);
-                    let mut ex = Executor::new(
-                        &c.lp,
-                        &c.kernel,
-                        &machine,
-                        c.regs_total,
-                        ExecutorConfig {
-                            stream_mode: mode,
-                            ..ExecutorConfig::default()
-                        },
-                    );
-                    for _ in 0..entries {
-                        ex.run_entry(trip);
-                    }
-                    ex.counters().total
+                let exec = ExecutorConfig {
+                    stream_mode: mode,
+                    ..ExecutorConfig::default()
                 };
-                let tb = run(&CompileConfig::new(LatencyPolicy::Baseline));
-                let tx = run(&CompileConfig::new(LatencyPolicy::AllLoadsL3).with_threshold(0));
-                (boost, 100.0 * (tb as f64 / tx.max(1) as f64 - 1.0))
+                (boost, loop_gain(&machine, lp, trip, entries, exec))
             })
             .collect::<Vec<_>>()
     };

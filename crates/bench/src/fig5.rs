@@ -2,10 +2,11 @@
 //! the execution simulator.
 
 use ltsp_core::theory;
-use ltsp_core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp_core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp_ir::{DataClass, LoopBuilder};
 use ltsp_machine::MachineModel;
-use ltsp_memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp_memsim::{ExecutorConfig, StreamMode};
+use ltsp_telemetry::Telemetry;
 
 /// The Fig. 5 data: one curve per coverage ratio, plus a simulator
 /// validation point.
@@ -78,20 +79,12 @@ pub fn fig5() -> Fig5Result {
     let base = compile_loop_with_profile(&lp, &machine, &base_cfg, trip as f64);
     let boost = compile_loop_with_profile(&lp, &machine, &boost_cfg, trip as f64);
 
-    let run = |c: &ltsp_core::CompiledLoop| {
-        let mut ex = Executor::new(
-            &c.lp,
-            &c.kernel,
-            &machine,
-            c.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
-        );
-        ex.run_entry(trip);
-        *ex.counters()
+    let exec = ExecutorConfig {
+        stream_mode: StreamMode::Progressive,
+        ..ExecutorConfig::default()
     };
+    let tel = Telemetry::disabled();
+    let run = |c| simulate(lp.name(), &[c], &machine, exec, [(0, trip)], &tel);
     let cb = run(&base);
     let cx = run(&boost);
 

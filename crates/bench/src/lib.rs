@@ -25,6 +25,7 @@
 
 mod adaptive_gap;
 pub mod bench_record;
+pub mod catalog;
 pub mod compile_phases;
 mod experiments;
 mod extensions;
@@ -36,6 +37,7 @@ mod stats;
 
 pub use adaptive_gap::{adaptive_gap, AdaptiveGapResult, AdaptiveRow};
 pub use bench_record::{merged_bench_json, CANONICAL_EXPERIMENTS};
+pub use catalog::{Experiment, ExperimentCtx, EXPERIMENTS};
 pub use experiments::{
     fig10, fig7, fig8, fig9, no_prefetch_headroom, AccountingResult, GainExperiment,
 };

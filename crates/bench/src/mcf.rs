@@ -1,9 +1,10 @@
 //! Sec. 4.4 — the 429.mcf `refresh_potential()` case study.
 
-use ltsp_core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp_core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp_ir::{InstId, Opcode, SplitMix64};
 use ltsp_machine::MachineModel;
-use ltsp_memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp_memsim::{ExecutorConfig, StreamMode};
+use ltsp_telemetry::Telemetry;
 use ltsp_workloads::{mcf_refresh, TripDistribution};
 
 /// Results of the case study.
@@ -64,11 +65,7 @@ pub fn mcf_case_study(machine: &MachineModel, entries: u32) -> McfCaseStudy {
         .iter()
         .filter_map(|i| match i.op() {
             Opcode::Load(_) => {
-                let lat = hinted
-                    .stats
-                    .as_ref()
-                    .map(|_| ())
-                    .and_then(|()| scheduled_latency(&hinted, machine, i.id()))?;
+                let lat = scheduled_latency(&hinted, i.id())?;
                 if lat > 1 {
                     Some(ltsp_core::theory::clustering_factor(
                         lat - 1,
@@ -83,26 +80,19 @@ pub fn mcf_case_study(machine: &MachineModel, entries: u32) -> McfCaseStudy {
         .max()
         .unwrap_or(1);
 
-    let run = |c: &ltsp_core::CompiledLoop, seed: u64| {
-        let mut ex = Executor::new(
-            &c.lp,
-            &c.kernel,
-            machine,
-            c.regs_total,
-            ExecutorConfig {
-                seed,
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
-        );
+    let tel = Telemetry::disabled();
+    let run = |c: &ltsp_core::CompiledLoop| {
+        let exec = ExecutorConfig {
+            seed: 11,
+            stream_mode: StreamMode::Progressive,
+            ..ExecutorConfig::default()
+        };
         let mut rng = SplitMix64::new(0xFEED);
-        for _ in 0..entries {
-            ex.run_entry(trips.sample(&mut rng));
-        }
-        ex.counters().total
+        let schedule = (0..entries).map(|_| (0, trips.sample(&mut rng)));
+        simulate(c.lp.name(), &[c], machine, exec, schedule, &tel).total
     };
-    let tb = run(&base, 11);
-    let th = run(&hinted, 11);
+    let tb = run(&base);
+    let th = run(&hinted);
     let speedup = 100.0 * (tb as f64 / th.max(1) as f64 - 1.0);
 
     McfCaseStudy {
@@ -115,11 +105,7 @@ pub fn mcf_case_study(machine: &MachineModel, entries: u32) -> McfCaseStudy {
     }
 }
 
-fn scheduled_latency(
-    c: &ltsp_core::CompiledLoop,
-    _machine: &MachineModel,
-    inst: InstId,
-) -> Option<u32> {
+fn scheduled_latency(c: &ltsp_core::CompiledLoop, inst: InstId) -> Option<u32> {
     match c.lp.inst(inst).op() {
         Opcode::Load(_) => {
             // Distance between the load and its first scheduled use.

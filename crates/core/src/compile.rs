@@ -120,64 +120,6 @@ fn hint_for_load(
     }
 }
 
-/// Samples per-reference miss behaviour by executing the baseline-compiled
-/// loop for `sample_entries` entries of `trip` iterations, then derives a
-/// latency hint per memory reference: references whose average demand
-/// latency reaches the L3 service range get an L3 hint, the L2 range an L2
-/// hint, near-hits none. This is the "dynamic cache-miss sampling" oracle
-/// of the paper's outlook (Sec. 6).
-pub fn sample_miss_hints(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    trip: u64,
-    sample_entries: u32,
-    stream_mode: ltsp_memsim::StreamMode,
-    seed: u64,
-) -> Vec<Option<LatencyHint>> {
-    let cfg = CompileConfig::new(LatencyPolicy::Baseline);
-    let compiled = compile_loop_with_profile(lp, machine, &cfg, trip as f64);
-    let mut ex = ltsp_memsim::Executor::new(
-        &compiled.lp,
-        &compiled.kernel,
-        machine,
-        compiled.regs_total,
-        ltsp_memsim::ExecutorConfig {
-            seed,
-            stream_mode,
-            ..ltsp_memsim::ExecutorConfig::default()
-        },
-    );
-    // Warm up the caches first, then sample steady-state latencies — a
-    // sampling profiler sees the whole run, which is dominated by the
-    // steady state, not the cold start.
-    for _ in 0..sample_entries.max(1) {
-        ex.run_entry(trip.max(1));
-    }
-    ex.reset_ref_stats();
-    for _ in 0..sample_entries.max(1) {
-        ex.run_entry(trip.max(1));
-    }
-    let l2_floor = f64::from(machine.caches().l2.best_latency) - 1.0;
-    let l3_floor = f64::from(machine.caches().l3.best_latency) + 2.0;
-    ex.ref_stats()
-        .iter()
-        .take(lp.memrefs().len()) // ignore HLO-added refs, none today
-        .map(|&(count, lat_sum)| {
-            if count == 0 {
-                return None;
-            }
-            let avg = lat_sum as f64 / count as f64;
-            if avg >= l3_floor {
-                Some(LatencyHint::L3)
-            } else if avg >= l2_floor {
-                Some(LatencyHint::L2)
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 /// Compiles a loop believing `trip_estimate` iterations per entry.
 ///
 /// Pipeline: (1) the HLO inserts software prefetches and computes latency

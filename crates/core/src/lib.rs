@@ -12,6 +12,8 @@
 //!   allocation, and the acyclic fallback;
 //! - [`theory`] — the closed-form cost/benefit model of Sec. 2
 //!   (coverage ratio, clustering factor, Eq. 2's stall-reduction curve);
+//! - [`simulate`] / [`steady_state`] — the one simulation driver every
+//!   compile-then-simulate path runs its kernels through;
 //! - [`run_benchmark`] / [`run_suite`] — the experiment harness that
 //!   executes a synthetic benchmark under a policy on the simulator and
 //!   reports per-benchmark gains and cycle accounting.
@@ -21,16 +23,15 @@ mod compile;
 mod config;
 mod report;
 mod runner;
+mod simulate;
 pub mod theory;
 
 pub use cache::{compile_key, compile_loop_cached, new_compile_cache, CompileCache};
-pub use compile::{
-    compile_loop_with_profile, compile_loop_with_profile_phased, sample_miss_hints, CompiledLoop,
-};
+pub use compile::{compile_loop_with_profile, compile_loop_with_profile_phased, CompiledLoop};
 pub use config::{CompileConfig, LatencyPolicy};
 pub use report::{format_cycle_accounting, format_gain_table, geomean_gain};
 pub use runner::{
-    benchmark_gain, default_jobs, run_benchmark, run_benchmark_sampled, run_benchmark_versioned,
-    run_suite, run_suite_sampled, run_suite_versioned, set_default_jobs, suite_cycle_accounting,
-    BenchRun, LoopRun, RunConfig, SuiteRun,
+    benchmark_gain, default_jobs, run_benchmark, run_suite, run_suite_sampled, run_suite_versioned,
+    set_default_jobs, suite_cycle_accounting, BenchRun, LoopRun, RunConfig, SuiteRun,
 };
+pub use simulate::{sample_miss_hints, service_level, simulate, steady_state, SteadyState};

@@ -2,15 +2,17 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ltsp_ir::RegClass::{Fr, Gr, Pr};
 use ltsp_ir::SplitMix64;
 use ltsp_machine::MachineModel;
-use ltsp_memsim::{CycleCounters, Executor, ExecutorConfig};
+use ltsp_memsim::{CycleCounters, ExecutorConfig};
 use ltsp_par::Pool;
 use ltsp_telemetry::Telemetry;
 use ltsp_workloads::{Benchmark, LoopSpec};
 
-use crate::compile::{compile_loop_with_profile, compile_loop_with_profile_phased};
-use crate::config::CompileConfig;
+use crate::compile::{compile_loop_with_profile, compile_loop_with_profile_phased, CompiledLoop};
+use crate::config::{CompileConfig, LatencyPolicy};
+use crate::simulate::{sample_miss_hints, simulate};
 
 /// Process-wide default worker count picked up by [`RunConfig::new`]
 /// (0 = not yet initialised).
@@ -175,163 +177,138 @@ fn fnv(s: &str) -> u64 {
     h
 }
 
-fn run_loop(bench_name: &str, spec: &LoopSpec, machine: &MachineModel, rc: &RunConfig) -> LoopRun {
+/// How [`run_loop`] compiles a loop and picks a kernel per entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// One kernel under the configured policy.
+    Static,
+    /// A baseline and a boosted kernel, picked per entry on the actual
+    /// trip count (see [`run_suite_versioned`]).
+    Versioned,
+    /// One kernel under [`LatencyPolicy::MissSampled`], its hints measured
+    /// first by [`sample_miss_hints`] (see [`run_suite_sampled`]).
+    Sampled,
+}
+
+impl Dispatch {
+    /// The batch label the suite's pool runs under.
+    fn label(self) -> &'static str {
+        match self {
+            Dispatch::Static => "suite",
+            Dispatch::Versioned => "suite-versioned",
+            Dispatch::Sampled => "suite-sampled",
+        }
+    }
+}
+
+/// Baseline-compiled loop entries [`sample_miss_hints`] warms up with and
+/// then measures, per loop, under [`Dispatch::Sampled`].
+const SAMPLE_ENTRIES: u32 = 20;
+
+/// Compiles and simulates one loop of a benchmark. The loop's seed (and
+/// with it the address streams and the trip-count sequence) derives from
+/// the master seed and the loop identity only, so every policy and
+/// dispatch mode sees the same entries.
+fn run_loop(
+    bench_name: &str,
+    spec: &LoopSpec,
+    machine: &MachineModel,
+    rc: &RunConfig,
+    tel: &Telemetry,
+    dispatch: Dispatch,
+) -> LoopRun {
+    let loop_seed = rc.seed ^ fnv(bench_name) ^ fnv(&spec.name);
     let trip_estimate = if rc.compile.pgo {
         spec.train_trips.mean()
     } else {
         spec.static_trip_estimate
     };
-    let compiled = compile_loop_with_profile_phased(
-        &spec.loop_ir,
-        machine,
-        &rc.compile,
-        trip_estimate,
-        &rc.telemetry,
-        None,
-    );
+    let cfg = match dispatch {
+        Dispatch::Static => rc.compile.clone(),
+        // Dispatch happens at run time on the *actual* trip count, so the
+        // boosted version compiles with the threshold disabled.
+        Dispatch::Versioned => rc.compile.clone().with_threshold(0),
+        Dispatch::Sampled => {
+            let sample_trip = spec.ref_trips.mean().round().max(1.0) as u64;
+            let profile = sample_miss_hints(
+                &spec.loop_ir,
+                machine,
+                sample_trip,
+                SAMPLE_ENTRIES,
+                spec.stream_mode,
+                loop_seed ^ 0x5A3,
+            );
+            CompileConfig {
+                policy: LatencyPolicy::MissSampled,
+                miss_profile: Some(profile),
+                ..rc.compile.clone()
+            }
+        }
+    };
+    // Only the policy's compile is traced — the versioned baseline kernel
+    // makes no latency decisions worth recording.
+    let base = (dispatch == Dispatch::Versioned).then(|| {
+        let base_cfg = CompileConfig {
+            policy: LatencyPolicy::Baseline,
+            ..rc.compile.clone()
+        };
+        compile_loop_with_profile(&spec.loop_ir, machine, &base_cfg, trip_estimate)
+    });
+    let compiled =
+        compile_loop_with_profile_phased(&spec.loop_ir, machine, &cfg, trip_estimate, tel, None);
 
-    let loop_seed = rc.seed ^ fnv(bench_name) ^ fnv(&spec.name);
     let exec_cfg = ExecutorConfig {
         seed: loop_seed,
         stream_mode: spec.stream_mode,
         ..rc.exec
     };
-    let mut ex = Executor::new(
-        &compiled.lp,
-        &compiled.kernel,
-        machine,
-        compiled.regs_total,
-        exec_cfg,
-    );
-    ex.attach_telemetry(&rc.telemetry);
     let entries = ((f64::from(spec.entries) * rc.entry_scale).ceil() as u32).max(1);
     let mut trip_rng = SplitMix64::new(loop_seed ^ 0x7219);
-    {
-        let _span = rc.telemetry.span(format!("simulate:{}", spec.name));
-        for _ in 0..entries {
-            let trip = spec.ref_trips.sample(&mut trip_rng);
-            ex.run_entry(trip);
-        }
-    }
-    ex.export_metrics("sim");
+    let threshold = u64::from(rc.compile.trip_threshold).max(1);
+    let versions: Vec<&CompiledLoop> = base.iter().chain([&compiled]).collect();
+    let schedule = (0..entries).map(|_| {
+        let trip = spec.ref_trips.sample(&mut trip_rng);
+        (usize::from(base.is_some() && trip >= threshold), trip)
+    });
+    let counters = simulate(&spec.name, &versions, machine, exec_cfg, schedule, tel);
 
     let (stats, regs) = (compiled.stats, compiled.regs);
     LoopRun {
         name: spec.name.clone(),
-        counters: *ex.counters(),
+        counters,
         ii: compiled.kernel.ii(),
         stages: compiled.kernel.stage_count(),
         pipelined: compiled.pipelined,
         boosted_loads: stats.map_or(0, |s| s.boosted_loads),
         critical_loads: stats.map_or(0, |s| s.critical_loads),
-        regs: regs.map_or((0, 0, 0), |r| {
-            (
-                r.total(ltsp_ir::RegClass::Gr),
-                r.total(ltsp_ir::RegClass::Fr),
-                r.total(ltsp_ir::RegClass::Pr),
-            )
-        }),
-        schedule_attempts: stats.map_or(1, |s| s.schedule_attempts),
-    }
-}
-
-fn run_loop_versioned(
-    bench_name: &str,
-    spec: &LoopSpec,
-    machine: &MachineModel,
-    rc: &RunConfig,
-) -> LoopRun {
-    let trip_estimate = if rc.compile.pgo {
-        spec.train_trips.mean()
-    } else {
-        spec.static_trip_estimate
-    };
-    // Version 0: baseline kernel; version 1: the policy's boosted kernel,
-    // compiled with the threshold disabled (dispatch happens at run time
-    // on the *actual* trip count).
-    let base_cfg = CompileConfig {
-        policy: crate::LatencyPolicy::Baseline,
-        ..rc.compile.clone()
-    };
-    let boost_cfg = rc.compile.clone().with_threshold(0);
-    // Only the boosted version's compile is traced — the baseline version
-    // makes no latency decisions worth recording.
-    let base = compile_loop_with_profile(&spec.loop_ir, machine, &base_cfg, trip_estimate);
-    let boost = compile_loop_with_profile_phased(
-        &spec.loop_ir,
-        machine,
-        &boost_cfg,
-        trip_estimate,
-        &rc.telemetry,
-        None,
-    );
-    debug_assert_eq!(
-        base.lp, boost.lp,
-        "policies only change scheduling, not the loop body"
-    );
-
-    let loop_seed = rc.seed ^ fnv(bench_name) ^ fnv(&spec.name);
-    let exec_cfg = ExecutorConfig {
-        seed: loop_seed,
-        stream_mode: spec.stream_mode,
-        ..rc.exec
-    };
-    let kernels = [base.kernel.clone(), boost.kernel.clone()];
-    let regs = [base.regs_total, boost.regs_total];
-    let mut ex = Executor::new_versioned(&boost.lp, &kernels, machine, &regs, exec_cfg);
-    ex.attach_telemetry(&rc.telemetry);
-    let entries = ((f64::from(spec.entries) * rc.entry_scale).ceil() as u32).max(1);
-    let mut trip_rng = SplitMix64::new(loop_seed ^ 0x7219);
-    let threshold = u64::from(rc.compile.trip_threshold);
-    {
-        let _span = rc.telemetry.span(format!("simulate:{}", spec.name));
-        for _ in 0..entries {
-            let trip = spec.ref_trips.sample(&mut trip_rng);
-            let version = usize::from(trip >= threshold.max(1));
-            ex.run_entry_version(version, trip);
-        }
-    }
-    ex.export_metrics("sim");
-
-    let (stats, regs) = (boost.stats, boost.regs);
-    LoopRun {
-        name: spec.name.clone(),
-        counters: *ex.counters(),
-        ii: boost.kernel.ii(),
-        stages: boost.kernel.stage_count(),
-        pipelined: boost.pipelined,
-        boosted_loads: stats.map_or(0, |s| s.boosted_loads),
-        critical_loads: stats.map_or(0, |s| s.critical_loads),
-        regs: regs.map_or((0, 0, 0), |r| {
-            (
-                r.total(ltsp_ir::RegClass::Gr),
-                r.total(ltsp_ir::RegClass::Fr),
-                r.total(ltsp_ir::RegClass::Pr),
-            )
-        }),
+        regs: regs.map_or((0, 0, 0), |r| (r.total(Gr), r.total(Fr), r.total(Pr))),
         schedule_attempts: stats.map_or(1, |s| s.schedule_attempts),
     }
 }
 
 /// The shared batch layer behind every suite runner: flattens the suite
-/// into (benchmark, loop) work items, maps them through a [`Pool`] sized
-/// to [`RunConfig::jobs`] (per-item telemetry forked and spliced back in
-/// index order — see [`Pool::map_traced`]), and regroups the results into
-/// per-benchmark runs in suite order. The output is byte-for-byte
-/// independent of the worker count.
-fn pooled_suite<F>(label: &str, benchs: &[Benchmark], rc: &RunConfig, f: F) -> SuiteRun
-where
-    F: Fn(&Telemetry, &Benchmark, &LoopSpec) -> LoopRun + Sync,
-{
+/// into (benchmark, loop) work items, maps them through [`run_loop`] on a
+/// [`Pool`] sized to [`RunConfig::jobs`] (per-item telemetry forked and
+/// spliced back in index order — see [`Pool::map_traced`]), and regroups
+/// the results into per-benchmark runs in suite order. The output is
+/// byte-for-byte independent of the worker count.
+fn pooled_suite(
+    benchs: &[Benchmark],
+    machine: &MachineModel,
+    rc: &RunConfig,
+    dispatch: Dispatch,
+) -> SuiteRun {
     let items: Vec<(usize, &LoopSpec)> = benchs
         .iter()
         .enumerate()
         .flat_map(|(bi, b)| b.loops.iter().map(move |spec| (bi, spec)))
         .collect();
-    let loops =
-        Pool::new(rc.jobs).map_traced(&rc.telemetry, label, &items, |tel, _idx, &(bi, spec)| {
-            f(tel, &benchs[bi], spec)
-        });
+    let loops = Pool::new(rc.jobs).map_traced(
+        &rc.telemetry,
+        dispatch.label(),
+        &items,
+        |tel, _idx, &(bi, spec)| run_loop(benchs[bi].name, spec, machine, rc, tel, dispatch),
+    );
     let mut runs: Vec<BenchRun> = benchs
         .iter()
         .map(|b| BenchRun {
@@ -347,83 +324,28 @@ where
     SuiteRun { runs }
 }
 
-/// Runs one benchmark with **trip-count versioning** (the paper's Sec. 6
+/// Runs a whole suite with **trip-count versioning** (the paper's Sec. 6
 /// outlook): each loop keeps a baseline kernel and the policy's boosted
 /// kernel, and every entry dispatches on its *actual* trip count against
 /// [`CompileConfig::trip_threshold`]. Low-trip executions take the cheap
 /// kernel, long ones the latency-tolerant kernel — no profile needed.
-pub fn run_benchmark_versioned(
-    bench: &Benchmark,
-    machine: &MachineModel,
-    rc: &RunConfig,
-) -> BenchRun {
-    run_suite_versioned(std::slice::from_ref(bench), machine, rc)
-        .runs
-        .pop()
-        .expect("one benchmark in, one run out")
-}
-
-/// Runs a whole suite with trip-count versioning.
 pub fn run_suite_versioned(
     benchs: &[Benchmark],
     machine: &MachineModel,
     rc: &RunConfig,
 ) -> SuiteRun {
-    pooled_suite("suite-versioned", benchs, rc, |tel, bench, spec| {
-        let rc2 = RunConfig {
-            telemetry: tel.clone(),
-            ..rc.clone()
-        };
-        run_loop_versioned(bench.name, spec, machine, &rc2)
-    })
+    pooled_suite(benchs, machine, rc, Dispatch::Versioned)
 }
 
-/// Runs one benchmark with **dynamic cache-miss sampling** (the paper's
+/// Runs a whole suite with **dynamic cache-miss sampling** (the paper's
 /// Sec. 6 outlook): each loop is first executed briefly under the baseline
 /// compiler while recording per-reference average latencies
-/// ([`crate::sample_miss_hints`]); the measured profile then drives the
-/// [`crate::LatencyPolicy::MissSampled`] policy. References that actually
-/// hit close caches get no hint — removing the static-information failure
+/// ([`sample_miss_hints`]); the measured profile then drives the
+/// [`LatencyPolicy::MissSampled`] policy. References that actually hit
+/// close caches get no hint — removing the static-information failure
 /// modes — while genuinely delinquent references are boosted.
-pub fn run_benchmark_sampled(
-    bench: &Benchmark,
-    machine: &MachineModel,
-    rc: &RunConfig,
-    sample_entries: u32,
-) -> BenchRun {
-    run_suite_sampled(std::slice::from_ref(bench), machine, rc, sample_entries)
-        .runs
-        .pop()
-        .expect("one benchmark in, one run out")
-}
-
-/// Runs a whole suite with dynamic cache-miss sampling.
-pub fn run_suite_sampled(
-    benchs: &[Benchmark],
-    machine: &MachineModel,
-    rc: &RunConfig,
-    sample_entries: u32,
-) -> SuiteRun {
-    pooled_suite("suite-sampled", benchs, rc, |tel, bench, spec| {
-        let loop_seed = rc.seed ^ fnv(bench.name) ^ fnv(&spec.name);
-        let sample_trip = spec.ref_trips.mean().round().max(1.0) as u64;
-        let profile = crate::sample_miss_hints(
-            &spec.loop_ir,
-            machine,
-            sample_trip,
-            sample_entries,
-            spec.stream_mode,
-            loop_seed ^ 0x5A3,
-        );
-        let mut rc2 = rc.clone();
-        rc2.telemetry = tel.clone();
-        rc2.compile = CompileConfig {
-            policy: crate::LatencyPolicy::MissSampled,
-            miss_profile: Some(profile),
-            ..rc.compile.clone()
-        };
-        run_loop(bench.name, spec, machine, &rc2)
-    })
+pub fn run_suite_sampled(benchs: &[Benchmark], machine: &MachineModel, rc: &RunConfig) -> SuiteRun {
+    pooled_suite(benchs, machine, rc, Dispatch::Sampled)
 }
 
 /// Runs one benchmark under the configuration.
@@ -436,13 +358,7 @@ pub fn run_benchmark(bench: &Benchmark, machine: &MachineModel, rc: &RunConfig) 
 
 /// Runs every benchmark of a suite.
 pub fn run_suite(benchs: &[Benchmark], machine: &MachineModel, rc: &RunConfig) -> SuiteRun {
-    pooled_suite("suite", benchs, rc, |tel, bench, spec| {
-        let rc2 = RunConfig {
-            telemetry: tel.clone(),
-            ..rc.clone()
-        };
-        run_loop(bench.name, spec, machine, &rc2)
-    })
+    pooled_suite(benchs, machine, rc, Dispatch::Static)
 }
 
 /// Whole-benchmark speedup percentage of `var` over `base`.
@@ -506,7 +422,6 @@ pub fn suite_cycle_accounting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LatencyPolicy;
     use ltsp_workloads::find_benchmark;
 
     fn quick(policy: LatencyPolicy) -> RunConfig {

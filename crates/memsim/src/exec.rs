@@ -144,10 +144,8 @@ pub struct Executor<'a> {
     /// Predicate values for recent source iterations.
     pred_vals: HashMap<VReg, VecDeque<(i64, bool)>>,
     cfg: ExecutorConfig,
-    /// Per-memref demand-load statistics: (accesses, total latency).
-    ref_stats: Vec<(u64, u64)>,
-    /// Per-memref observed service levels (the adaptive-hint feedback
-    /// signal); updated in lockstep with `ref_stats`.
+    /// Per-memref observed service levels and demand latencies (the
+    /// miss-sampling and adaptive-hint feedback signal).
     ref_obs: Vec<RefObservation>,
     /// Observational telemetry sink; disabled by default. The simulation
     /// never reads it, so cycle counts are bit-identical either way.
@@ -167,13 +165,7 @@ impl<'a> Executor<'a> {
         regs_allocated: u32,
         cfg: ExecutorConfig,
     ) -> Self {
-        Self::new_versioned(
-            lp,
-            std::slice::from_ref(sched),
-            machine,
-            std::slice::from_ref(&regs_allocated),
-            cfg,
-        )
+        Self::new_versioned(lp, &[(sched, regs_allocated)], machine, cfg)
     }
 
     /// Builds an executor holding several alternative kernels for the same
@@ -181,26 +173,20 @@ impl<'a> Executor<'a> {
     /// versions share the memory system, scoreboard and address streams;
     /// [`Executor::run_entry_version`] picks the kernel per entry.
     ///
-    /// `regs_per_version` gives each version's allocated register count
+    /// Each version pairs its schedule with its allocated register count
     /// (versions carry their own register frames, so RSE traffic is
     /// charged per the version actually run).
     ///
     /// # Panics
     ///
-    /// Panics if `scheds` is empty or the lengths differ.
+    /// Panics if `versions` is empty.
     pub fn new_versioned(
         lp: &'a LoopIr,
-        scheds: &[ModuloSchedule],
+        versions: &[(&ModuloSchedule, u32)],
         machine: &'a MachineModel,
-        regs_per_version: &[u32],
         cfg: ExecutorConfig,
     ) -> Self {
-        assert!(!scheds.is_empty(), "at least one kernel version required");
-        assert_eq!(
-            scheds.len(),
-            regs_per_version.len(),
-            "one register count per kernel version"
-        );
+        assert!(!versions.is_empty(), "at least one kernel version required");
         let defined: std::collections::HashSet<VReg> =
             lp.insts().iter().filter_map(|i| i.dst()).collect();
         let build_rows = |sched: &ModuloSchedule| -> Vec<Vec<ExecInst>> {
@@ -232,10 +218,9 @@ impl<'a> Executor<'a> {
                 })
                 .collect()
         };
-        let versions = scheds
+        let versions = versions
             .iter()
-            .zip(regs_per_version)
-            .map(|(s, &regs)| (build_rows(s), s.stage_count(), regs))
+            .map(|&(s, regs)| (build_rows(s), s.stage_count(), regs))
             .collect();
         let n_refs = lp.memrefs().len();
         Executor {
@@ -250,7 +235,6 @@ impl<'a> Executor<'a> {
             ready: HashMap::new(),
             pred_vals: HashMap::new(),
             cfg,
-            ref_stats: vec![(0, 0); n_refs],
             ref_obs: vec![RefObservation::default(); n_refs],
             telemetry: ltsp_telemetry::Telemetry::disabled(),
         }
@@ -272,19 +256,9 @@ impl<'a> Executor<'a> {
         self.counters.export(&self.telemetry, prefix);
     }
 
-    /// Per-memref demand statistics `(accesses, total latency cycles)` —
-    /// the "dynamic cache-miss sampling" data of the paper's outlook
-    /// (Sec. 6). Indexed by memref id.
-    pub fn ref_stats(&self) -> &[(u64, u64)] {
-        &self.ref_stats
-    }
-
-    /// Clears the per-memref statistics (e.g. to discard cache-warmup
+    /// Clears the per-memref observations (e.g. to discard cache-warmup
     /// entries before sampling steady-state behaviour).
     pub fn reset_ref_stats(&mut self) {
-        for s in &mut self.ref_stats {
-            *s = (0, 0);
-        }
         for o in &mut self.ref_obs {
             *o = RefObservation::default();
         }
@@ -292,7 +266,9 @@ impl<'a> Executor<'a> {
 
     /// Per-memref service-level observations (which cache level each
     /// demand load was actually served from, plus latency sums) — the
-    /// feedback signal of the adaptive-hint loop. Indexed by memref id;
+    /// "dynamic cache-miss sampling" data of the paper's outlook (Sec. 6)
+    /// and the feedback signal of the adaptive-hint loop. Indexed by
+    /// memref id;
     /// cleared together with [`Executor::reset_ref_stats`].
     pub fn observations(&self) -> &[RefObservation] {
         &self.ref_obs
@@ -528,9 +504,6 @@ impl<'a> Executor<'a> {
         self.ozq_admit();
         let outcome = self.mem.demand_access(addr, dc, self.now, is_store);
         self.counters.loads += 1;
-        let stat = &mut self.ref_stats[memref.index()];
-        stat.0 += 1;
-        stat.1 += u64::from(outcome.latency);
         let obs = &mut self.ref_obs[memref.index()];
         obs.accesses += 1;
         obs.latency_sum += u64::from(outcome.latency);

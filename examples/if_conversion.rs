@@ -5,11 +5,12 @@
 //!
 //! Run with: `cargo run --release --example if_conversion`
 
-use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp::ir::SplitMix64;
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{ExecutorConfig, StreamMode};
 use ltsp::pipeliner::{assign_registers, emit_kernel};
+use ltsp::telemetry::Telemetry;
 use ltsp::workloads::{mcf_refresh_predicated, TripDistribution};
 
 fn main() {
@@ -36,22 +37,15 @@ fn main() {
     let trips = TripDistribution::Mixture(vec![(0.75, 2), (0.25, 3)]);
     println!("branch-probability sweep (UP fraction of nodes):");
     for prob in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut ex = Executor::new(
-            &compiled.lp,
-            &compiled.kernel,
-            &machine,
-            compiled.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                cmp_taken_prob: prob,
-                ..ExecutorConfig::default()
-            },
-        );
+        let exec = ExecutorConfig {
+            stream_mode: StreamMode::Progressive,
+            cmp_taken_prob: prob,
+            ..ExecutorConfig::default()
+        };
         let mut rng = SplitMix64::new(7);
-        for _ in 0..400 {
-            ex.run_entry(trips.sample(&mut rng));
-        }
-        let c = ex.counters();
+        let schedule = (0..400).map(|_| (0, trips.sample(&mut rng)));
+        let tel = Telemetry::disabled();
+        let c = simulate(lp.name(), &[&compiled], &machine, exec, schedule, &tel);
         println!(
             "  p(UP)={prob:.2}: {:>8} cycles, {:>5} loads issued, stalls {:.1}%",
             c.total,

@@ -7,10 +7,11 @@
 //!
 //! Run with: `cargo run --release --example mcf_pointer_chase`
 
-use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp::ir::SplitMix64;
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{ExecutorConfig, StreamMode};
+use ltsp::telemetry::Telemetry;
 use ltsp::workloads::{mcf_refresh, TripDistribution};
 
 fn main() {
@@ -34,21 +35,14 @@ fn main() {
             stats.critical_loads
         );
 
-        let mut ex = Executor::new(
-            &compiled.lp,
-            &compiled.kernel,
-            &machine,
-            compiled.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
-        );
+        let exec = ExecutorConfig {
+            stream_mode: StreamMode::Progressive,
+            ..ExecutorConfig::default()
+        };
         let mut rng = SplitMix64::new(2024);
-        for _ in 0..entries {
-            ex.run_entry(trips.sample(&mut rng));
-        }
-        let c = ex.counters();
+        let schedule = (0..entries).map(|_| (0, trips.sample(&mut rng)));
+        let tel = Telemetry::disabled();
+        let c = simulate(lp.name(), &[&compiled], &machine, exec, schedule, &tel);
         println!(
             "  {} cycles over {} entries; data stalls {:.1}%\n",
             c.total,

@@ -3,10 +3,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp::ir::{DataClass, LoopBuilder};
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{ExecutorConfig, StreamMode};
+use ltsp::telemetry::Telemetry;
 
 fn main() {
     // The paper's running example: ld4 / add / st4 with post-increment —
@@ -37,18 +38,14 @@ fn main() {
         );
         println!("{}", compiled.kernel.dump(&compiled.lp));
 
-        let mut ex = Executor::new(
-            &compiled.lp,
-            &compiled.kernel,
-            &machine,
-            compiled.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
-        );
-        ex.run_entry(trip);
-        let c = ex.counters();
+        let exec = ExecutorConfig {
+            stream_mode: StreamMode::Progressive,
+            ..ExecutorConfig::default()
+        };
+        // One loop entry of `trip` iterations on kernel version 0.
+        let entries = [(0, trip)];
+        let tel = Telemetry::disabled();
+        let c = simulate(lp.name(), &[&compiled], &machine, exec, entries, &tel);
         println!(
             "  {} cycles for {} iterations ({:.2} cycles/iter); data stalls {} ({:.1}%)\n",
             c.total,

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example versioned_dispatch`
 
 use ltsp::core::{
-    benchmark_gain, run_benchmark, run_benchmark_sampled, run_benchmark_versioned,
-    sample_miss_hints, CompileConfig, LatencyPolicy, RunConfig,
+    benchmark_gain, run_suite, run_suite_sampled, run_suite_versioned, sample_miss_hints,
+    CompileConfig, LatencyPolicy, RunConfig,
 };
 use ltsp::machine::MachineModel;
 use ltsp::memsim::StreamMode;
@@ -46,34 +46,22 @@ fn main() {
     );
 
     println!("== benchmark-level comparison (no PGO) ==\n");
-    for name in ["429.mcf", "445.gobmk", "464.h264ref"] {
-        let bench = find_benchmark(name).expect("exists");
-        let base = run_benchmark(
-            &bench,
-            &machine,
-            &RunConfig::new(CompileConfig::new(LatencyPolicy::Baseline).with_pgo(false)),
-        );
-        let hlo = run_benchmark(
-            &bench,
-            &machine,
-            &RunConfig::new(CompileConfig::new(LatencyPolicy::HloHints).with_pgo(false)),
-        );
-        let sampled = run_benchmark_sampled(
-            &bench,
-            &machine,
-            &RunConfig::new(CompileConfig::new(LatencyPolicy::MissSampled).with_pgo(false)),
-            20,
-        );
-        let versioned = run_benchmark_versioned(
-            &bench,
-            &machine,
-            &RunConfig::new(CompileConfig::new(LatencyPolicy::AllLoadsL3).with_pgo(false)),
-        );
+    let benchs: Vec<_> = ["429.mcf", "445.gobmk", "464.h264ref"]
+        .into_iter()
+        .map(|name| find_benchmark(name).expect("exists"))
+        .collect();
+    let no_pgo = |policy| RunConfig::new(CompileConfig::new(policy).with_pgo(false));
+    let base = run_suite(&benchs, &machine, &no_pgo(LatencyPolicy::Baseline));
+    let hlo = run_suite(&benchs, &machine, &no_pgo(LatencyPolicy::HloHints));
+    let sampled = run_suite_sampled(&benchs, &machine, &no_pgo(LatencyPolicy::MissSampled));
+    let versioned = run_suite_versioned(&benchs, &machine, &no_pgo(LatencyPolicy::AllLoadsL3));
+    for (i, bench) in benchs.iter().enumerate() {
         println!(
-            "  {name:<14} HLO {:+6.2}%   sampled {:+6.2}%   versioned {:+6.2}%",
-            benchmark_gain(&bench, &base, &hlo),
-            benchmark_gain(&bench, &base, &sampled),
-            benchmark_gain(&bench, &base, &versioned),
+            "  {:<14} HLO {:+6.2}%   sampled {:+6.2}%   versioned {:+6.2}%",
+            bench.name,
+            benchmark_gain(bench, &base.runs[i], &hlo.runs[i]),
+            benchmark_gain(bench, &base.runs[i], &sampled.runs[i]),
+            benchmark_gain(bench, &base.runs[i], &versioned.runs[i]),
         );
     }
     println!(

@@ -124,10 +124,10 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use ltsp::core::{compile_loop_with_profile_phased, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile_phased, simulate, CompileConfig, LatencyPolicy};
 use ltsp::ir::parse_loop;
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{ExecutorConfig, StreamMode};
 use ltsp::oracle::OracleOptions;
 use ltsp::pipeliner::{assign_registers, emit_kernel, form_bundles};
 use ltsp::telemetry::Telemetry;
@@ -1502,23 +1502,19 @@ fn main() -> ExitCode {
     }
 
     if let Some(iters) = o.simulate {
-        let mut ex = Executor::new(
-            &compiled.lp,
-            &compiled.kernel,
+        let exec = ExecutorConfig {
+            stream_mode: StreamMode::Progressive,
+            ..ExecutorConfig::default()
+        };
+        let entries = [(0, iters.max(1))];
+        let c = simulate(
+            compiled.lp.name(),
+            &[&compiled],
             &machine,
-            compiled.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                ..ExecutorConfig::default()
-            },
+            exec,
+            entries,
+            &tel,
         );
-        ex.attach_telemetry(&tel);
-        {
-            let _span = tel.span(format!("simulate:{}", compiled.lp.name()));
-            ex.run_entry(iters.max(1));
-        }
-        ex.export_metrics("sim");
-        let c = ex.counters();
         println!(
             "\nsimulated {iters} iterations: {} cycles ({:.2}/iter), \
              data stalls {:.1}%, OzQ stalls {:.1}%, loads L1/L2/L3/mem = {}/{}/{}/{}",

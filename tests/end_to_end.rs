@@ -1,10 +1,11 @@
 //! End-to-end integration tests across all crates: IR → HLO → pipeliner →
 //! simulator, checking the paper's structural claims.
 
-use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp::ir::{DataClass, LoopBuilder, LoopIr};
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{CycleCounters, Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{CycleCounters, ExecutorConfig, StreamMode};
+use ltsp::telemetry::Telemetry;
 use ltsp::workloads::{
     gather_update, mcf_refresh, saxpy, stencil3, stream_sum, symbolic_walk, triad,
 };
@@ -13,19 +14,31 @@ fn machine() -> MachineModel {
     MachineModel::itanium2()
 }
 
-fn run(compiled: &ltsp::core::CompiledLoop, m: &MachineModel, trip: u64) -> CycleCounters {
-    let mut ex = Executor::new(
-        &compiled.lp,
-        &compiled.kernel,
+/// Simulates `entries` loop entries of `trip` iterations each.
+fn run_entries(
+    compiled: &ltsp::core::CompiledLoop,
+    m: &MachineModel,
+    stream_mode: StreamMode,
+    trip: u64,
+    entries: u32,
+) -> CycleCounters {
+    let exec = ExecutorConfig {
+        stream_mode,
+        ..ExecutorConfig::default()
+    };
+    let schedule = (0..entries).map(|_| (0, trip));
+    simulate(
+        "e2e",
+        &[compiled],
         m,
-        compiled.regs_total,
-        ExecutorConfig {
-            stream_mode: StreamMode::Progressive,
-            ..ExecutorConfig::default()
-        },
-    );
-    ex.run_entry(trip);
-    *ex.counters()
+        exec,
+        schedule,
+        &Telemetry::disabled(),
+    )
+}
+
+fn run(compiled: &ltsp::core::CompiledLoop, m: &MachineModel, trip: u64) -> CycleCounters {
+    run_entries(compiled, m, StreamMode::Progressive, trip, 1)
 }
 
 /// The paper's running example: ld/add/st pipelines at II = 1 with three
@@ -155,27 +168,13 @@ fn gain_and_regression_both_reproduce() {
     let lp_warm = stream_sum("w", DataClass::Int, 4);
     let base_w = compile_loop_with_profile(&lp_warm, &m, &base_cfg, 4.0);
     let boost_w = compile_loop_with_profile(&lp_warm, &m, &boost_cfg, 4.0);
-    let warm_cfg = ExecutorConfig {
-        stream_mode: StreamMode::Restart,
-        ..ExecutorConfig::default()
-    };
-    let mut eb = Executor::new(&base_w.lp, &base_w.kernel, &m, base_w.regs_total, warm_cfg);
-    let mut ex = Executor::new(
-        &boost_w.lp,
-        &boost_w.kernel,
-        &m,
-        boost_w.regs_total,
-        warm_cfg,
-    );
-    for _ in 0..300 {
-        eb.run_entry(4);
-        ex.run_entry(4);
-    }
+    let eb = run_entries(&base_w, &m, StreamMode::Restart, 4, 300);
+    let ex = run_entries(&boost_w, &m, StreamMode::Restart, 4, 300);
     assert!(
-        ex.counters().total > eb.counters().total,
+        ex.total > eb.total,
         "warm low-trip loop: boost must lose ({} vs {})",
-        ex.counters().total,
-        eb.counters().total
+        ex.total,
+        eb.total
     );
 }
 

@@ -3,14 +3,27 @@
 //! if-converted to remove control flow", Sec. 3.3), and its own Sec. 4.4
 //! example contains an `if (node->orientation == UP)` branch.
 
-use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, simulate, CompileConfig, CompiledLoop, LatencyPolicy};
 use ltsp::ir::{parse_loop, DataClass, LoopBuilder};
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{CycleCounters, ExecutorConfig, StreamMode};
+use ltsp::telemetry::Telemetry;
 use ltsp::workloads::mcf_refresh_predicated;
 
 fn machine() -> MachineModel {
     MachineModel::itanium2()
+}
+
+/// Simulates `entries` entries of `trip` iterations on progressive
+/// streams, with compares taken at probability `prob`.
+fn run_at(c: &CompiledLoop, m: &MachineModel, prob: f64, trip: u64, entries: u32) -> CycleCounters {
+    let exec = ExecutorConfig {
+        stream_mode: StreamMode::Progressive,
+        cmp_taken_prob: prob,
+        ..ExecutorConfig::default()
+    };
+    let schedule = (0..entries).map(|_| (0, trip));
+    simulate("pred", &[c], m, exec, schedule, &Telemetry::disabled())
 }
 
 #[test]
@@ -65,21 +78,7 @@ fn predication_gates_memory_traffic() {
         &CompileConfig::new(LatencyPolicy::Baseline).with_prefetch(false),
         1000.0,
     );
-    let run = |prob: f64| {
-        let mut ex = Executor::new(
-            &c.lp,
-            &c.kernel,
-            &m,
-            c.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                cmp_taken_prob: prob,
-                ..ExecutorConfig::default()
-            },
-        );
-        ex.run_entry(1000);
-        ex.counters().stores
-    };
+    let run = |prob: f64| run_at(&c, &m, prob, 1000, 1).stores;
     assert_eq!(run(0.0), 0, "never-taken predicate squashes every store");
     assert_eq!(
         run(1.0),
@@ -120,23 +119,7 @@ fn predication_off_path_loads_save_time() {
     let m = machine();
     let lp = mcf_refresh_predicated("mcf-pred", 32 << 20);
     let c = compile_loop_with_profile(&lp, &m, &CompileConfig::new(LatencyPolicy::Baseline), 3.0);
-    let run = |prob: f64| {
-        let mut ex = Executor::new(
-            &c.lp,
-            &c.kernel,
-            &m,
-            c.regs_total,
-            ExecutorConfig {
-                stream_mode: StreamMode::Progressive,
-                cmp_taken_prob: prob,
-                ..ExecutorConfig::default()
-            },
-        );
-        for _ in 0..200 {
-            ex.run_entry(3);
-        }
-        ex.counters().total
-    };
+    let run = |prob: f64| run_at(&c, &m, prob, 3, 200).total;
     // The then-side carries the delinquent loads; never taking it skips
     // them entirely.
     assert!(

@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 
-use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_with_profile, simulate, CompileConfig, LatencyPolicy};
 use ltsp::ddg::Ddg;
 use ltsp::ir::Opcode;
 use ltsp::machine::MachineModel;
-use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
+use ltsp::memsim::{ExecutorConfig, StreamMode};
+use ltsp::telemetry::Telemetry;
 use ltsp::workloads::random_loop;
 
 fn policies() -> impl Strategy<Value = LatencyPolicy> {
@@ -88,12 +89,8 @@ proptest! {
         let lp = random_loop(seed);
         let cfg = CompileConfig::new(policy);
         let c = compile_loop_with_profile(&lp, &m, &cfg, trip as f64);
-        let mut ex = Executor::new(
-            &c.lp, &c.kernel, &m, c.regs_total,
-            ExecutorConfig { stream_mode: StreamMode::Progressive, ..ExecutorConfig::default() },
-        );
-        ex.run_entry(trip);
-        let counters = *ex.counters();
+        let exec = ExecutorConfig { stream_mode: StreamMode::Progressive, ..ExecutorConfig::default() };
+        let counters = simulate("prop", &[&c], &m, exec, [(0, trip)], &Telemetry::disabled());
         prop_assert!(counters.is_consistent(), "{counters:?}");
         prop_assert_eq!(counters.source_iters, trip);
         prop_assert!(
@@ -129,12 +126,8 @@ proptest! {
         let a = compile_loop_with_profile(&lp, &m, &cfg, 100.0);
         let b = compile_loop_with_profile(&lp, &m, &cfg, 100.0);
         prop_assert_eq!(&a.kernel, &b.kernel);
-        let runner = |c: &ltsp::core::CompiledLoop| {
-            let mut ex = Executor::new(&c.lp, &c.kernel, &m, c.regs_total,
-                ExecutorConfig::default());
-            ex.run_entry(64);
-            *ex.counters()
-        };
+        let tel = Telemetry::disabled();
+        let runner = |c| simulate("prop", &[c], &m, ExecutorConfig::default(), [(0, 64)], &tel);
         prop_assert_eq!(runner(&a), runner(&b));
     }
 }

@@ -3,12 +3,14 @@
 //! Usage:
 //!
 //! ```text
-//! reproduce [all|fig5|fig7|fig8|fig9|fig10|mcf|regstats|compiletime|noprefetch|versioning|sampling|balanced|ablations|oracle|adaptive]
+//! reproduce [all|fig5|fig7|fig8|fig9|fig10|mcf|regstats|compiletime|noprefetch|versioning|sampling|balanced|ablations|oracle|adaptive]...
 //!           [--scale X] [--jobs N] [--csv] [--trace-out FILE] [--metrics-out FILE]
 //!           [--bench-out FILE] [--no-bench] [-v]
 //! ```
 //!
-//! `--adaptive` is an alias for the `adaptive` experiment (the E-adaptive
+//! Every named experiment runs once, in the order given (`all`, the
+//! default, names every experiment in report order). `--adaptive` is an
+//! alias for the `adaptive` experiment (the E-adaptive
 //! feedback-directed-hints table). An unknown experiment name or flag, or
 //! a flag missing its value, prints this usage on stderr and exits 2
 //! without running anything or writing a record.
@@ -120,7 +122,7 @@ fn usage_error(problem: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!("reproduce: {problem}");
     eprintln!(
-        "usage: reproduce [all|{}] [--scale X] [--jobs N] [--csv] [--trace-out FILE] \
+        "usage: reproduce [all|{}]... [--scale X] [--jobs N] [--csv] [--trace-out FILE] \
          [--metrics-out FILE] [--bench-out FILE] [--no-bench] [-v]",
         names.join("|")
     );
@@ -129,7 +131,7 @@ fn usage_error(problem: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_string();
+    let mut names: Vec<String> = Vec::new();
     let mut scale = 1.0f64;
     let mut jobs = ltsp_par::default_parallelism();
     let mut csv = false;
@@ -157,18 +159,37 @@ fn main() {
             "--bench-out" => bench_out = Some(value(&mut it, "--bench-out")),
             "--no-bench" => bench_out = None,
             "-v" | "--verbose" => verbose = true,
-            "--adaptive" => which = "adaptive".to_string(),
+            "--adaptive" => names.push("adaptive".to_string()),
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
-            name => which = name.to_string(),
+            name => names.push(name.to_string()),
         }
     }
-    let selected: Vec<&Experiment> = EXPERIMENTS
-        .iter()
-        .filter(|(name, _)| which == "all" || *name == which)
-        .collect();
-    if selected.is_empty() {
-        usage_error(&format!("unknown experiment {which}"));
+    if names.is_empty() {
+        names.push("all".to_string());
     }
+    // Each experiment runs once, first mention first.
+    let mut selected: Vec<&Experiment> = Vec::new();
+    for name in &names {
+        let mut known = false;
+        for e in EXPERIMENTS
+            .iter()
+            .filter(|(n, _)| name == "all" || n == name)
+        {
+            known = true;
+            if !selected.iter().any(|(s, _)| *s == e.0) {
+                selected.push(e);
+            }
+        }
+        if !known {
+            usage_error(&format!("unknown experiment {name}"));
+        }
+    }
+    // The record reports "all" once every experiment is covered.
+    let which = selected
+        .iter()
+        .map(|(n, _)| *n)
+        .collect::<Vec<_>>()
+        .join(",");
     // Experiments construct their own RunConfigs; route the worker count
     // through the process-wide default they pick up.
     ltsp_core::set_default_jobs(jobs);

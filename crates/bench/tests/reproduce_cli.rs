@@ -1,6 +1,7 @@
 //! `reproduce` command-line contract: a mistyped experiment or flag is a
 //! usage error (exit 2, usage on stderr, nothing run, no bench record),
-//! never a silent successful run of nothing.
+//! never a silent successful run of nothing; every named experiment runs,
+//! in the order given.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -61,5 +62,41 @@ fn known_experiment_runs_and_records_only_itself() {
     let text = std::fs::read_to_string(&record).expect("record written");
     assert!(text.contains("\"which\": \"fig5\""), "{text}");
     assert!(text.contains("{\"name\": \"fig5\""), "{text}");
+    let _ = std::fs::remove_file(&record);
+}
+
+#[test]
+fn every_named_experiment_runs_in_order_and_records_itself() {
+    let record = scratch("fig9-fig5.json");
+    let path = record.to_str().unwrap();
+    let out = reproduce(&[
+        "fig9",
+        "fig5",
+        "fig9",
+        "--scale",
+        "0.05",
+        "--bench-out",
+        path,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("Fig. 9"),
+        "first named runs first: {stdout}"
+    );
+    assert_eq!(
+        stdout.matches("Fig. 9").count(),
+        1,
+        "a repeated name runs once"
+    );
+    assert!(
+        stdout.contains("\nFig. 5"),
+        "the second name runs too: {stdout}"
+    );
+    let text = std::fs::read_to_string(&record).expect("record written");
+    assert!(text.contains("\"which\": \"fig9,fig5\""), "{text}");
+    for name in ["fig5", "fig9"] {
+        assert!(text.contains(&format!("{{\"name\": \"{name}\"")), "{text}");
+    }
     let _ = std::fs::remove_file(&record);
 }

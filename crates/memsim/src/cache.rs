@@ -1,15 +1,18 @@
 //! The simulated data-memory hierarchy: L1D/L2/L3, TLB, in-flight fills.
-
-use std::collections::HashMap;
+//!
+//! Every structure is sized once at construction; an access neither
+//! allocates nor hashes.
 
 use ltsp_ir::{CacheLevel, DataClass};
 use ltsp_machine::CacheGeometry;
 
-/// One set-associative, LRU cache level. Tags are stored per set in MRU
-/// order (front = most recent).
+/// One set-associative, LRU cache level: one flat tag array of `ways`
+/// tags per set, each set in MRU order (front = most recent) with its
+/// first `lens[set]` tags valid.
 #[derive(Debug, Clone)]
 struct SetAssocCache {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
+    lens: Vec<u8>,
     ways: usize,
     line_shift: u32,
     set_mask: u64,
@@ -23,57 +26,66 @@ impl SetAssocCache {
             line_bytes,
             "line size must be a power of two"
         );
+        assert!(ways <= u32::from(u8::MAX), "at most 255 ways");
         let sets = capacity_bytes / (u64::from(ways) * u64::from(line_bytes));
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         SetAssocCache {
-            sets: vec![Vec::new(); sets as usize],
+            tags: vec![0; sets as usize * ways as usize],
+            lens: vec![0; sets as usize],
             ways: ways as usize,
             line_shift,
             set_mask: sets - 1,
         }
     }
 
+    /// The set holding `addr`'s line, and the line.
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         ((line & self.set_mask) as usize, line)
     }
 
+    /// The valid tags of `set`, MRU first.
+    fn set(&mut self, set: usize) -> &mut [u64] {
+        let len = usize::from(self.lens[set]);
+        &mut self.tags[set * self.ways..][..len]
+    }
+
+    /// Moves `line` to the MRU position of `set` if present.
+    fn touch(&mut self, set: usize, line: u64) -> bool {
+        let ways = self.set(set);
+        match ways.iter().position(|&t| t == line) {
+            Some(pos) => {
+                ways[..=pos].rotate_right(1);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Probes for the line; on hit, refreshes LRU position.
     fn probe(&mut self, addr: u64) -> bool {
         let (set, line) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let tag = ways.remove(pos);
-            ways.insert(0, tag);
-            true
-        } else {
-            false
-        }
+        self.touch(set, line)
     }
 
     /// Inserts the line as MRU, evicting the LRU way if needed.
     fn insert(&mut self, addr: u64) {
         let (set, line) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let tag = ways.remove(pos);
-            ways.insert(0, tag);
+        if self.touch(set, line) {
             return;
         }
-        if ways.len() == self.ways {
-            ways.pop();
+        if usize::from(self.lens[set]) < self.ways {
+            self.lens[set] += 1;
         }
-        ways.insert(0, line);
-    }
-
-    fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        // A full set rotates its LRU tag to the front, where it is
+        // overwritten.
+        let ways = self.set(set);
+        ways.rotate_right(1);
+        ways[0] = line;
     }
 }
 
-/// Fully-associative-by-sets LRU TLB over pages.
+/// Fully-associative LRU TLB over pages, MRU first.
 #[derive(Debug, Clone)]
 struct Tlb {
     entries: Vec<u64>,
@@ -90,7 +102,7 @@ impl Tlb {
             "page size must be a power of two"
         );
         Tlb {
-            entries: Vec::new(),
+            entries: Vec::with_capacity(entries as usize),
             capacity: entries as usize,
             page_shift,
         }
@@ -100,20 +112,18 @@ impl Tlb {
     fn access_misses(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
         if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let p = self.entries.remove(pos);
-            self.entries.insert(0, p);
+            self.entries[..=pos].rotate_right(1);
             false
         } else {
-            if self.entries.len() == self.capacity {
-                self.entries.pop();
+            // A full TLB rotates its LRU page to the front, where it is
+            // overwritten.
+            if self.entries.len() < self.capacity {
+                self.entries.push(page);
             }
-            self.entries.insert(0, page);
+            self.entries.rotate_right(1);
+            self.entries[0] = page;
             true
         }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -155,8 +165,12 @@ pub struct MemorySystem {
     l2: SetAssocCache,
     l3: SetAssocCache,
     tlb: Tlb,
-    /// In-flight line fills: 128-byte-line address → completion time.
-    inflight: HashMap<u64, u64>,
+    /// In-flight line fills: `(128-byte-line address, completion time)`,
+    /// unordered. Under the executor every fill holds an OzQ entry until
+    /// it completes, so the table stays within the OzQ's capacity.
+    inflight: Vec<(u64, u64)>,
+    /// The earliest in-flight completion (`u64::MAX` when none).
+    next_landing: u64,
     /// Earliest cycle at which main memory can start the next line fill
     /// (bandwidth serialization).
     next_memory_fill: u64,
@@ -170,7 +184,8 @@ impl MemorySystem {
             l2: SetAssocCache::new(geo.l2.capacity_bytes, geo.l2.ways, geo.l2.line_bytes),
             l3: SetAssocCache::new(geo.l3.capacity_bytes, geo.l3.ways, geo.l3.line_bytes),
             tlb: Tlb::new(geo.tlb.entries, geo.tlb.page_bytes),
-            inflight: HashMap::new(),
+            inflight: Vec::with_capacity(geo.ozq_capacity as usize),
+            next_landing: u64::MAX,
             next_memory_fill: 0,
             geo,
         }
@@ -190,7 +205,29 @@ impl MemorySystem {
     }
 
     fn drain_inflight(&mut self, now: u64) {
-        self.inflight.retain(|_, &mut done| done > now);
+        if now < self.next_landing {
+            return;
+        }
+        self.inflight.retain(|&(_, done)| done > now);
+        self.next_landing = self
+            .inflight
+            .iter()
+            .map(|&(_, done)| done)
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
+    fn start_fill(&mut self, key: u64, done: u64) {
+        self.inflight.push((key, done));
+        self.next_landing = self.next_landing.min(done);
+    }
+
+    /// The completion time of `key`'s in-flight fill, if one is on its way.
+    fn inflight_done(&self, key: u64) -> Option<u64> {
+        self.inflight
+            .iter()
+            .find(|&&(line, _)| line == key)
+            .map(|&(_, done)| done)
     }
 
     /// A demand load or store at absolute cycle `now`.
@@ -217,7 +254,7 @@ impl MemorySystem {
 
         // Merge with an in-flight fill: pay only the remaining cycles.
         let key = self.inflight_key(addr);
-        if let Some(&done) = self.inflight.get(&key) {
+        if let Some(done) = self.inflight_done(key) {
             // The line is already on its way; promote into the caches (it
             // was inserted at fill start) and report the remainder.
             let remaining = (done - now) as u32;
@@ -269,7 +306,7 @@ impl MemorySystem {
             self.l1.insert(addr);
         }
         if !is_store {
-            self.inflight.insert(key, now + u64::from(latency));
+            self.start_fill(key, now + u64::from(latency));
         }
         AccessOutcome {
             latency,
@@ -292,7 +329,7 @@ impl MemorySystem {
             0
         };
         let key = self.inflight_key(addr);
-        if let Some(&done) = self.inflight.get(&key) {
+        if let Some(done) = self.inflight_done(key) {
             // Riding a fill already on the way — the normal mode of a
             // streaming prefetch whose earlier issue started the miss,
             // so not counted redundant.
@@ -313,7 +350,7 @@ impl MemorySystem {
             let lat = self.memory_fill_latency(now);
             self.l3.insert(addr);
             self.l2.insert(addr);
-            self.inflight.insert(key, now + u64::from(lat + extra));
+            self.start_fill(key, now + u64::from(lat + extra));
             lat
         };
         if target == CacheLevel::L1 {
@@ -332,16 +369,6 @@ impl MemorySystem {
             latency: latency + extra,
             redundant,
         }
-    }
-
-    /// Empties all caches, the TLB and in-flight state.
-    pub fn clear(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-        self.l3.clear();
-        self.tlb.clear();
-        self.inflight.clear();
-        self.next_memory_fill = 0;
     }
 }
 
@@ -431,15 +458,5 @@ mod tests {
         assert!(a.tlb_miss);
         let b = s.demand_access(0x50_0040, DataClass::Int, 1000, false);
         assert!(!b.tlb_miss, "same 16K page is cached in the TLB");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut s = sys();
-        s.demand_access(0x1_0000, DataClass::Int, 0, false);
-        s.clear();
-        let again = s.demand_access(0x1_0000, DataClass::Int, 10_000, false);
-        assert_eq!(again.level, CacheLevel::Memory);
-        assert!(again.tlb_miss);
     }
 }

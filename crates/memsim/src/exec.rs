@@ -1,6 +1,6 @@
 //! The in-order, stall-on-use executor for kernel schedules.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use ltsp_ir::{DataClass, LoopIr, MemRefId, Opcode, VReg};
 use ltsp_machine::MachineModel;
@@ -44,18 +44,101 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Precomputed per-instruction execution recipe.
-#[derive(Debug, Clone)]
+/// Precomputed per-instruction execution recipe. Registers are dense
+/// scoreboard slots (see [`Executor::new_versioned`]).
+#[derive(Debug, Clone, Copy)]
 struct ExecInst {
     id: u32,
     stage: u32,
     op: Opcode,
-    dst: Option<VReg>,
-    srcs: Vec<(VReg, u32, bool)>, // (reg, omega, has_def_in_loop)
+    /// Ready-time slot of the destination.
+    dst: Option<usize>,
+    /// Predicate slot a compare's outcome is recorded in.
+    pred: Option<usize>,
+    /// `Kernel::srcs[start..end]`: the reads of registers defined inside
+    /// the loop (loop-invariant live-ins are always ready).
+    srcs: (usize, usize),
     mem: Option<MemRefId>,
     latency: u32, // non-load result latency
-    /// Qualifying predicate: (register, omega, negated).
-    qp: Option<(VReg, u32, bool)>,
+    /// Prefetch distance in source iterations (0 for non-prefetches).
+    distance: u32,
+    /// Qualifying predicate: (predicate slot, omega, negated).
+    qp: Option<(usize, u32, bool)>,
+}
+
+/// One kernel version: its recipes row by row and its register frame.
+#[derive(Debug)]
+struct Kernel {
+    /// Every recipe, grouped by kernel cycle.
+    insts: Vec<ExecInst>,
+    /// Row `r` issues `insts[rows[r]..rows[r + 1]]`.
+    rows: Vec<usize>,
+    /// `(slot, omega)` of every loop-defined read, indexed by
+    /// [`ExecInst::srcs`].
+    srcs: Vec<(usize, u32)>,
+    stages: u32,
+    regs: u32,
+}
+
+/// How many of a register's most recent records the scoreboard keeps.
+const WINDOW: usize = 300;
+
+/// The last [`WINDOW`] `(source iteration, value)` records of every
+/// scoreboard slot, as one preallocated ring per slot, so recording never
+/// allocates. Source iterations restart at 0 on every entry, so a lookup
+/// may be answered by an earlier entry's record while that record is
+/// still among the slot's last [`WINDOW`].
+#[derive(Debug)]
+struct History<T> {
+    iters: Vec<u64>,
+    vals: Vec<T>,
+    /// Per slot: the ring position the next record goes to, and how many
+    /// records the ring holds.
+    heads: Vec<(usize, usize)>,
+}
+
+impl<T: Copy + Default> History<T> {
+    fn new(slots: usize) -> Self {
+        History {
+            iters: vec![0; slots * WINDOW],
+            vals: vec![T::default(); slots * WINDOW],
+            heads: vec![(0, 0); slots],
+        }
+    }
+
+    fn record(&mut self, slot: usize, iter: u64, value: T) {
+        let (next, len) = &mut self.heads[slot];
+        let at = slot * WINDOW + *next;
+        self.iters[at] = iter;
+        self.vals[at] = value;
+        *next = (*next + 1) % WINDOW;
+        *len = (*len + 1).min(WINDOW);
+    }
+
+    /// The newest record for source iteration `iter`, if the slot still
+    /// holds one.
+    fn get(&self, slot: usize, iter: u64) -> Option<T> {
+        let (next, len) = self.heads[slot];
+        let base = slot * WINDOW;
+        // Newest first: positions `next-1` down to 0, then (once the ring
+        // has wrapped) `len-1` down to `next`.
+        let ring = &self.iters[base..base + len];
+        let at = match ring[..next].iter().rposition(|&i| i == iter) {
+            Some(p) => p,
+            None => next + ring[next..].iter().rposition(|&i| i == iter)?,
+        };
+        Some(self.vals[base + at])
+    }
+}
+
+/// Numbers distinct registers densely in first-seen order.
+fn dense_slots(regs: impl Iterator<Item = VReg>) -> HashMap<VReg, usize> {
+    let mut slots = HashMap::new();
+    for r in regs {
+        let n = slots.len();
+        slots.entry(r).or_insert(n);
+    }
+    slots
 }
 
 /// Executes a pipelined (or acyclic-fallback) loop schedule against the
@@ -88,6 +171,31 @@ struct ExecInst {
 /// assert!(c.is_consistent());
 /// # Ok::<(), ltsp_ir::IrError>(())
 /// ```
+#[derive(Debug)]
+pub struct Executor<'a> {
+    machine: &'a MachineModel,
+    /// One kernel per version (trip-count versioning keeps a base and a
+    /// boosted kernel for the same loop body, each with its own register
+    /// frame).
+    versions: Vec<Kernel>,
+    mem: MemorySystem,
+    ozq: Ozq,
+    streams: AddressStreams,
+    counters: CycleCounters,
+    now: u64,
+    /// Per-slot ready times for recent source iterations.
+    ready: History<u64>,
+    /// Per-slot predicate values for recent source iterations.
+    preds: History<bool>,
+    cfg: ExecutorConfig,
+    /// Per-memref observed service levels and demand latencies (the
+    /// miss-sampling and adaptive-hint feedback signal).
+    ref_obs: Vec<RefObservation>,
+    /// Observational telemetry sink; disabled by default. The simulation
+    /// never reads it, so cycle counts are bit-identical either way.
+    telemetry: ltsp_telemetry::Telemetry,
+}
+
 /// Where one memory reference's demand loads were actually served from —
 /// the per-load observation record the adaptive-hint loop feeds back into
 /// the compiler. The access/latency/level counts are demand accesses;
@@ -126,32 +234,6 @@ impl RefObservation {
     }
 }
 
-#[derive(Debug)]
-pub struct Executor<'a> {
-    lp: &'a LoopIr,
-    machine: &'a MachineModel,
-    /// One `(rows, stage_count, regs_allocated)` per kernel version
-    /// (trip-count versioning keeps a base and a boosted kernel for the
-    /// same loop body, each with its own register frame).
-    versions: Vec<(Vec<Vec<ExecInst>>, u32, u32)>,
-    mem: MemorySystem,
-    ozq: Ozq,
-    streams: AddressStreams,
-    counters: CycleCounters,
-    now: u64,
-    /// Per-register ready times for recent source iterations.
-    ready: HashMap<VReg, VecDeque<(i64, u64)>>,
-    /// Predicate values for recent source iterations.
-    pred_vals: HashMap<VReg, VecDeque<(i64, bool)>>,
-    cfg: ExecutorConfig,
-    /// Per-memref observed service levels and demand latencies (the
-    /// miss-sampling and adaptive-hint feedback signal).
-    ref_obs: Vec<RefObservation>,
-    /// Observational telemetry sink; disabled by default. The simulation
-    /// never reads it, so cycle counts are bit-identical either way.
-    telemetry: ltsp_telemetry::Telemetry,
-}
-
 impl<'a> Executor<'a> {
     /// Builds an executor for one compiled loop.
     ///
@@ -177,6 +259,10 @@ impl<'a> Executor<'a> {
     /// (versions carry their own register frames, so RSE traffic is
     /// charged per the version actually run).
     ///
+    /// Every register is resolved here, once, to a dense scoreboard slot:
+    /// destinations to ready-time slots, compare destinations and
+    /// qualifying predicates to predicate slots.
+    ///
     /// # Panics
     ///
     /// Panics if `versions` is empty.
@@ -187,44 +273,67 @@ impl<'a> Executor<'a> {
         cfg: ExecutorConfig,
     ) -> Self {
         assert!(!versions.is_empty(), "at least one kernel version required");
-        let defined: std::collections::HashSet<VReg> =
-            lp.insts().iter().filter_map(|i| i.dst()).collect();
-        let build_rows = |sched: &ModuloSchedule| -> Vec<Vec<ExecInst>> {
-            sched
-                .rows()
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|slot| {
-                            let inst = lp.inst(slot.inst);
-                            ExecInst {
-                                id: slot.inst.0,
-                                stage: slot.stage,
-                                op: inst.op(),
-                                dst: inst.dst(),
-                                srcs: inst
-                                    .reads()
-                                    .map(|s| (s.reg, s.omega, defined.contains(&s.reg)))
-                                    .collect(),
-                                mem: inst.mem(),
-                                latency: match inst.op() {
-                                    Opcode::Load(_) => 0,
-                                    op => machine.latencies().op_latency(op),
-                                },
-                                qp: inst.qp().map(|(q, neg)| (q.reg, q.omega, neg)),
+        let is_cmp = |op| matches!(op, Opcode::Cmp | Opcode::Fcmp | Opcode::Tbit);
+        let ready_slots = dense_slots(lp.insts().iter().filter_map(|i| i.dst()));
+        let pred_slots = dense_slots(
+            lp.insts()
+                .iter()
+                .filter(|i| is_cmp(i.op()))
+                .filter_map(|i| i.dst()),
+        );
+        // Predicates no compare writes keep their pre-loop value (true):
+        // they read this slot, which is never written.
+        let unwritten = pred_slots.len();
+        let kernel = |sched: &ModuloSchedule, regs: u32| {
+            let mut k = Kernel {
+                insts: Vec::with_capacity(sched.len()),
+                rows: vec![0],
+                srcs: Vec::new(),
+                stages: sched.stage_count(),
+                regs,
+            };
+            for row in sched.rows() {
+                for slot in row {
+                    let inst = lp.inst(slot.inst);
+                    let start = k.srcs.len();
+                    k.srcs.extend(
+                        inst.reads()
+                            .filter_map(|s| Some((*ready_slots.get(&s.reg)?, s.omega))),
+                    );
+                    k.insts.push(ExecInst {
+                        id: slot.inst.0,
+                        stage: slot.stage,
+                        op: inst.op(),
+                        dst: inst.dst().map(|d| ready_slots[&d]),
+                        pred: inst
+                            .dst()
+                            .filter(|_| is_cmp(inst.op()))
+                            .map(|d| pred_slots[&d]),
+                        srcs: (start, k.srcs.len()),
+                        mem: inst.mem(),
+                        latency: match inst.op() {
+                            Opcode::Load(_) => 0,
+                            op => machine.latencies().op_latency(op),
+                        },
+                        distance: match (inst.op(), inst.mem()) {
+                            (Opcode::Prefetch(_), Some(m)) => {
+                                lp.memref(m).prefetch().map_or(0, |p| p.distance)
                             }
-                        })
-                        .collect()
-                })
-                .collect()
+                            _ => 0,
+                        },
+                        qp: inst.qp().map(|(q, neg)| {
+                            let at = pred_slots.get(&q.reg).copied().unwrap_or(unwritten);
+                            (at, q.omega, neg)
+                        }),
+                    });
+                }
+                k.rows.push(k.insts.len());
+            }
+            k
         };
-        let versions = versions
-            .iter()
-            .map(|&(s, regs)| (build_rows(s), s.stage_count(), regs))
-            .collect();
+        let versions = versions.iter().map(|&(s, r)| kernel(s, r)).collect();
         let n_refs = lp.memrefs().len();
         Executor {
-            lp,
             machine,
             versions,
             mem: MemorySystem::new(*machine.caches()),
@@ -232,8 +341,8 @@ impl<'a> Executor<'a> {
             streams: AddressStreams::new(lp, cfg.stream_mode, cfg.seed),
             counters: CycleCounters::default(),
             now: 0,
-            ready: HashMap::new(),
-            pred_vals: HashMap::new(),
+            ready: History::new(ready_slots.len()),
+            preds: History::new(unwritten + 1),
             cfg,
             ref_obs: vec![RefObservation::default(); n_refs],
             telemetry: ltsp_telemetry::Telemetry::disabled(),
@@ -279,48 +388,6 @@ impl<'a> Executor<'a> {
         &self.counters
     }
 
-    fn record_ready(&mut self, reg: VReg, src_iter: i64, time: u64) {
-        let q = self.ready.entry(reg).or_default();
-        q.push_back((src_iter, time));
-        if q.len() > 300 {
-            q.pop_front();
-        }
-    }
-
-    fn record_pred(&mut self, reg: VReg, src_iter: i64, value: bool) {
-        let q = self.pred_vals.entry(reg).or_default();
-        q.push_back((src_iter, value));
-        if q.len() > 300 {
-            q.pop_front();
-        }
-    }
-
-    /// The predicate value for a source iteration; defaults to `true`
-    /// (pre-loop state, or aged out of the window).
-    fn pred_value(&self, reg: VReg, src_iter: i64) -> bool {
-        if src_iter < 0 {
-            return true;
-        }
-        self.pred_vals
-            .get(&reg)
-            .and_then(|q| q.iter().rev().find(|&&(i, _)| i == src_iter))
-            .is_none_or(|&(_, v)| v)
-    }
-
-    fn ready_time(&self, reg: VReg, src_iter: i64) -> u64 {
-        if src_iter < 0 {
-            return 0; // initialized before the loop
-        }
-        match self.ready.get(&reg) {
-            Some(q) => q
-                .iter()
-                .rev()
-                .find(|&&(i, _)| i == src_iter)
-                .map_or(0, |&(_, t)| t),
-            None => 0,
-        }
-    }
-
     /// Runs one execution (entry) of the loop with the given trip count.
     ///
     /// # Panics
@@ -347,20 +414,20 @@ impl<'a> Executor<'a> {
         let fe = u64::from(self.cfg.fe_entry_bubble);
         self.counters.fe_bubble += fe;
         self.now += fe;
-        let rse = u64::from(self.versions[version].2 / self.cfg.rse_regs_per_cycle.max(1));
+        let rse = u64::from(self.versions[version].regs / self.cfg.rse_regs_per_cycle.max(1));
         self.counters.be_rse_bubble += rse;
         self.now += rse;
 
-        let stages = self.versions[version].1;
+        let stages = self.versions[version].stages;
         let kernel_iters = trip + u64::from(stages) - 1;
         self.counters.kernel_iters += kernel_iters;
         self.counters.source_iters += trip;
 
         let mut last_sample = self.now;
-        let n_rows = self.versions[version].0.len();
+        let n_rows = self.versions[version].rows.len() - 1;
         for k in 0..kernel_iters {
-            for row_idx in 0..n_rows {
-                self.run_cycle(version, k, row_idx, trip);
+            for row in 0..n_rows {
+                self.run_cycle(version, k, row, trip);
                 // The kernel cycle itself.
                 self.now += 1;
                 self.counters.unstalled += 1;
@@ -387,31 +454,25 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run_cycle(&mut self, version: usize, k: u64, row_idx: usize, trip: u64) {
-        // Which slots are active this kernel iteration (stage predicates)?
-        let row = &self.versions[version].0[row_idx];
-        let mut active: Vec<usize> = Vec::with_capacity(row.len());
-        for (idx, ei) in row.iter().enumerate() {
-            let src_iter = k as i64 - i64::from(ei.stage);
-            if src_iter >= 0 && (src_iter as u64) < trip {
-                active.push(idx);
-            }
-        }
-        if active.is_empty() {
-            return;
-        }
+    fn run_cycle(&mut self, version: usize, k: u64, row: usize, trip: u64) {
+        let kernel = &self.versions[version];
+        let row = kernel.rows[row]..kernel.rows[row + 1];
+        // The source iteration a stage runs in kernel iteration `k`, or
+        // `None` while its stage predicate is off (prolog/epilog).
+        let active = |stage: u32| k.checked_sub(u64::from(stage)).filter(|&i| i < trip);
 
         // Stall-on-use: the issue group waits for every active source.
+        // Reads of iterations before the loop see values ready at entry.
         let mut ready_max = self.now;
-        for &idx in &active {
-            let ei = &self.versions[version].0[row_idx][idx];
-            let i = k as i64 - i64::from(ei.stage);
-            for &(reg, omega, has_def) in &ei.srcs {
-                if !has_def {
-                    continue; // loop-invariant live-in
+        for ei in &kernel.insts[row.clone()] {
+            let Some(i) = active(ei.stage) else { continue };
+            for &(slot, omega) in &kernel.srcs[ei.srcs.0..ei.srcs.1] {
+                if let Some(t) = i
+                    .checked_sub(u64::from(omega))
+                    .and_then(|src| self.ready.get(slot, src))
+                {
+                    ready_max = ready_max.max(t);
                 }
-                let t = self.ready_time(reg, i - i64::from(omega));
-                ready_max = ready_max.max(t);
             }
         }
         if ready_max > self.now {
@@ -420,45 +481,44 @@ impl<'a> Executor<'a> {
         }
 
         // Execute the group's effects.
-        for &idx in &active {
-            let ei = self.versions[version].0[row_idx][idx].clone();
-            let i = (k as i64 - i64::from(ei.stage)) as u64;
+        for idx in row {
+            let ei = self.versions[version].insts[idx];
+            let Some(i) = active(ei.stage) else { continue };
             // Qualifying predicate: a false predicate squashes the
             // instruction (no memory access, no new value) — the
-            // if-converted "other path" executes instead.
-            if let Some((qreg, omega, neg)) = ei.qp {
-                let v = self.pred_value(qreg, i as i64 - i64::from(omega));
+            // if-converted "other path" executes instead. A predicate
+            // the window no longer holds (or a pre-loop one) is true.
+            if let Some((q, omega, neg)) = ei.qp {
+                let v = i
+                    .checked_sub(u64::from(omega))
+                    .and_then(|src| self.preds.get(q, src))
+                    .unwrap_or(true);
                 if v == neg {
                     if let Some(dst) = ei.dst {
                         // The architectural register keeps a value the
                         // complementary path produced; it is ready now.
-                        self.record_ready(dst, i as i64, self.now);
+                        self.ready.record(dst, i, self.now);
                     }
                     continue;
                 }
             }
             // Compares produce predicate values (deterministic Bernoulli
             // per instruction and iteration).
-            if matches!(ei.op, Opcode::Cmp | Opcode::Fcmp | Opcode::Tbit) {
-                if let Some(dst) = ei.dst {
-                    // Distinct draw per (instruction, entry, iteration):
-                    // low-trip loops re-enter many times, and each entry's
-                    // nodes must flip independently.
-                    let mut h = ltsp_ir::SplitMix64::new(
-                        self.cfg.seed
-                            ^ (u64::from(ei.id) << 48)
-                            ^ (self.counters.entries << 16)
-                            ^ i,
-                    );
-                    let taken = h.next_f64() < self.cfg.cmp_taken_prob;
-                    self.record_pred(dst, i as i64, taken);
-                }
+            if let Some(pred) = ei.pred {
+                // Distinct draw per (instruction, entry, iteration):
+                // low-trip loops re-enter many times, and each entry's
+                // nodes must flip independently.
+                let mut h = ltsp_ir::SplitMix64::new(
+                    self.cfg.seed ^ (u64::from(ei.id) << 48) ^ (self.counters.entries << 16) ^ i,
+                );
+                let taken = h.next_f64() < self.cfg.cmp_taken_prob;
+                self.preds.record(pred, i, taken);
             }
             match ei.op {
                 Opcode::Load(dc) => {
                     let m = ei.mem.expect("loads carry a memref");
                     let addr = self.streams.address(m, i);
-                    self.issue_memory(ei.dst, dc, addr, false, i as i64, m);
+                    self.issue_load(ei.dst, dc, addr, i, m);
                 }
                 Opcode::Store(dc) => {
                     let m = ei.mem.expect("stores carry a memref");
@@ -468,14 +528,13 @@ impl<'a> Executor<'a> {
                 }
                 Opcode::Prefetch(target) => {
                     let m = ei.mem.expect("prefetches carry a memref");
-                    let distance = self.lp.memref(m).prefetch().map_or(0, |p| p.distance);
-                    let addr = self.streams.address_ahead(m, i, distance);
+                    let addr = self.streams.address_ahead(m, i, ei.distance);
                     self.counters.prefetches += 1;
                     self.issue_prefetch(addr, target, m);
                 }
                 _ => {
                     if let Some(dst) = ei.dst {
-                        self.record_ready(dst, i as i64, self.now + u64::from(ei.latency));
+                        self.ready.record(dst, i, self.now + u64::from(ei.latency));
                     }
                 }
             }
@@ -492,17 +551,16 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn issue_memory(
+    fn issue_load(
         &mut self,
-        dst: Option<VReg>,
+        dst: Option<usize>,
         dc: DataClass,
         addr: u64,
-        is_store: bool,
-        src_iter: i64,
+        src_iter: u64,
         memref: MemRefId,
     ) {
         self.ozq_admit();
-        let outcome = self.mem.demand_access(addr, dc, self.now, is_store);
+        let outcome = self.mem.demand_access(addr, dc, self.now, false);
         self.counters.loads += 1;
         let obs = &mut self.ref_obs[memref.index()];
         obs.accesses += 1;
@@ -540,7 +598,7 @@ impl<'a> Executor<'a> {
         let done = self.now + u64::from(outcome.latency + extra);
         self.ozq.push_completion(done);
         if let Some(d) = dst {
-            self.record_ready(d, src_iter, done);
+            self.ready.record(d, src_iter, done);
         }
     }
 

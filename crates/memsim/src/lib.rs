@@ -30,5 +30,4 @@ mod streams;
 pub use cache::{AccessOutcome, MemorySystem, PrefetchOutcome};
 pub use counters::CycleCounters;
 pub use exec::{Executor, ExecutorConfig, RefObservation};
-pub use ozq::Ozq;
 pub use streams::{AddressStreams, StreamMode};

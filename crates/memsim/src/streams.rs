@@ -15,6 +15,9 @@ pub enum StreamMode {
     Progressive,
 }
 
+/// How many recent chase nodes a walk remembers for lagging stages.
+const CHASE_WINDOW: usize = 256;
+
 #[derive(Debug, Clone)]
 struct ChaseState {
     /// Recently produced `(iteration, node address)` pairs; pipeline stages
@@ -69,7 +72,7 @@ impl AddressStreams {
             .map(|p| {
                 if let AccessPattern::PointerChase { base, .. } = p {
                     Some(ChaseState {
-                        recent: VecDeque::new(),
+                        recent: VecDeque::with_capacity(CHASE_WINDOW + 1),
                         next_iter: 0,
                         addr: *base,
                         rng: SplitMix64::new(seed ^ 0xC0FF_EE00),
@@ -133,14 +136,11 @@ impl AddressStreams {
             StreamMode::Restart => iter,
         };
         let st = self.chases[refidx].as_mut().expect("chase state exists");
-        if let Some(&(_, addr)) = st.recent.iter().find(|&&(i, _)| i == iter) {
-            return addr;
-        }
         // Advance the walk up to the requested iteration.
         while st.next_iter <= iter {
             let cur = st.addr;
             st.recent.push_back((st.next_iter, cur));
-            if st.recent.len() > 256 {
+            if st.recent.len() > CHASE_WINDOW {
                 st.recent.pop_front();
             }
             let nodes = (region_bytes / node_bytes).max(1);
@@ -152,11 +152,17 @@ impl AddressStreams {
             st.addr = next;
             st.next_iter += 1;
         }
-        st.recent
-            .iter()
-            .find(|&&(i, _)| i == iter)
-            .map(|&(_, a)| a)
-            .expect("just produced the requested iteration")
+        // `recent` holds consecutive iterations ending at `next_iter - 1`.
+        let back = (st.next_iter - iter) as usize;
+        let (i, addr) = st
+            .recent
+            .len()
+            .checked_sub(back)
+            .and_then(|at| st.recent.get(at))
+            .copied()
+            .expect("chase reads stay within the recent window");
+        debug_assert_eq!(i, iter);
+        addr
     }
 
     /// The address reference `memref` touches at source iteration `iter`
@@ -177,72 +183,54 @@ impl AddressStreams {
     }
 
     fn address_inner(&mut self, refidx: usize, iter: u64) -> u64 {
-        match self.patterns[refidx].clone() {
+        let g = match self.mode {
+            StreamMode::Progressive => self.global_iter(iter),
+            StreamMode::Restart => iter,
+        };
+        // Chase-relative references resolve to `(chase, offset)`; every
+        // other pattern is a pure function of the iteration.
+        let (chase, offset) = match self.patterns[refidx] {
             AccessPattern::Affine { base, stride } => {
-                let g = match self.mode {
-                    StreamMode::Progressive => self.global_iter(iter),
-                    StreamMode::Restart => iter,
-                };
-                (base as i64 + stride * g as i64) as u64
+                return (base as i64 + stride * g as i64) as u64
             }
             AccessPattern::SymbolicStride {
                 base,
                 typical_stride,
-            } => {
-                let g = match self.mode {
-                    StreamMode::Progressive => self.global_iter(iter),
-                    StreamMode::Restart => iter,
-                };
-                (base as i64 + typical_stride * g as i64) as u64
-            }
-            AccessPattern::Invariant { addr } => addr,
+            } => return (base as i64 + typical_stride * g as i64) as u64,
+            AccessPattern::Invariant { addr } => return addr,
             AccessPattern::Gather {
                 base,
                 elem_bytes,
                 region_bytes,
                 ..
             } => {
-                let g = match self.mode {
-                    StreamMode::Progressive => self.global_iter(iter),
-                    StreamMode::Restart => iter,
-                };
                 let elems = (region_bytes / u64::from(elem_bytes)).max(1);
                 let idx = mix(self.seed, refidx as u64, g) % elems;
-                base + idx * u64::from(elem_bytes)
+                return base + idx * u64::from(elem_bytes);
             }
             AccessPattern::Deref {
                 pointer,
                 offset,
                 region_bytes,
-            } => {
-                let chase_field = match &self.patterns[pointer.index()] {
-                    AccessPattern::PointerChase { node_bytes, .. } if offset < *node_bytes => {
-                        Some(pointer.index())
-                    }
-                    _ => None,
-                };
-                if let Some(cidx) = chase_field {
-                    // A field on the chased node itself: same line
-                    // neighbourhood as the node address.
-                    self.chase_node_addr(cidx, iter) + offset
-                } else {
-                    // A pointer loaded from elsewhere: effectively a random
-                    // location in the target region.
-                    let g = match self.mode {
-                        StreamMode::Progressive => self.global_iter(iter),
-                        StreamMode::Restart => iter,
-                    };
-                    let slots = (region_bytes / 64).max(1);
-                    region_base(refidx)
-                        + (mix(self.seed, refidx as u64 ^ 0xDEAD, g) % slots) * 64
-                        + offset % 64
+            } => match self.patterns[pointer.index()] {
+                // A field on the chased node itself: same line
+                // neighbourhood as the node address.
+                AccessPattern::PointerChase { node_bytes, .. } if offset < node_bytes => {
+                    (pointer.index(), offset)
                 }
-            }
-            AccessPattern::PointerChase { node_bytes, .. } => {
-                // The chase load reads the `next` field of the current node.
-                self.chase_node_addr(refidx, iter) + node_bytes / 2
-            }
-        }
+                // A pointer loaded from elsewhere: effectively a random
+                // location in the target region.
+                _ => {
+                    let slots = (region_bytes / 64).max(1);
+                    return region_base(refidx)
+                        + (mix(self.seed, refidx as u64 ^ 0xDEAD, g) % slots) * 64
+                        + offset % 64;
+                }
+            },
+            // The chase load reads the `next` field of the current node.
+            AccessPattern::PointerChase { node_bytes, .. } => (refidx, node_bytes / 2),
+        };
+        self.chase_node_addr(chase, iter) + offset
     }
 }
 

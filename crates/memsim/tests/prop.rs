@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use ltsp_core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
 use ltsp_ir::{CacheLevel, DataClass};
 use ltsp_machine::MachineModel;
-use ltsp_memsim::{Executor, ExecutorConfig, MemorySystem, Ozq, StreamMode};
+use ltsp_memsim::{Executor, ExecutorConfig, MemorySystem, StreamMode};
 use ltsp_workloads::random_loop;
 
 proptest! {
@@ -45,25 +45,6 @@ proptest! {
             prop_assert!(a.latency <= prev);
             prop_assert!(u64::from(a.latency) + t <= u64::from(first.latency) + 25);
             prev = a.latency;
-        }
-    }
-
-    /// The OzQ never admits more than its capacity, and `wait_for_slot`
-    /// returns a time at which a slot is genuinely free.
-    #[test]
-    fn ozq_capacity_respected(
-        cap in 1u32..16,
-        reqs in proptest::collection::vec((0u64..100, 1u32..200), 1..64),
-    ) {
-        let mut q = Ozq::new(cap);
-        let mut now = 0u64;
-        for (delay, lat) in reqs {
-            now += delay;
-            let issue = q.wait_for_slot(now);
-            prop_assert!(issue >= now);
-            prop_assert!(q.occupancy() < cap as usize);
-            q.push_completion(issue + u64::from(lat));
-            now = issue;
         }
     }
 
